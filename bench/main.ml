@@ -846,7 +846,7 @@ let persistence_bench ~topo ~ops ~dt_baseline =
 (* The same recorded trace, driven through `wdmnet serve`'s machinery
    over a unix socket by a single synchronous client — so the delta
    against the in-process replay prices the whole control-plane stack
-   (framing, CRC, two context switches and the admission queue per
+   (framing, CRC, the socket round trip and one event-loop pass per
    request).  The served network must land on the same state digest as
    an in-process twin, which is the bench-level version of the
    socket-vs-in-process equivalence test.
@@ -1135,8 +1135,8 @@ let replication_bench ~topo ~ops =
 (* ----------------------------------------------------------------- *)
 
 (* The serving trace again, but with telemetry attached so every
-   request is decomposed into decode / queue / execute / wal /
-   replicate / respond stage histograms (DESIGN.md §11), reported as
+   request is decomposed into decode / execute / wal / replicate /
+   respond stage histograms (DESIGN.md §11), reported as
    p50/p95/p99 per stage.  The same trace also runs with telemetry
    off: the delta prices what tracing costs when nothing subscribes —
    the disabled path takes no timestamps at all, so the overhead
@@ -1207,7 +1207,7 @@ let stage_latency_bench ~topo ~ops =
   let overhead_pct = (dt_on -. dt_off) /. dt_off *. 100. in
   let overhead_ok = overhead_pct <= 3.0 in
   let stage_names =
-    [ "decode"; "queue"; "execute"; "wal"; "replicate"; "respond" ]
+    [ "decode"; "execute"; "wal"; "replicate"; "respond" ]
   in
   let stage_hist name =
     let metric =
@@ -1689,7 +1689,7 @@ let validate_results path =
                 (Ok ())
                 [ "p50_s"; "p95_s"; "p99_s" ]))
         (Ok ())
-        [ "decode"; "queue"; "execute"; "wal"; "replicate"; "respond"; "total" ]
+        [ "decode"; "execute"; "wal"; "replicate"; "respond"; "total" ]
     in
     let* repl = require "replication" (J.member "replication" doc) in
     let* () =

@@ -127,6 +127,25 @@ let encode_net_state (s : Network.snapshot) =
   List.iter (Op.encode_fault b) s.Network.s_faults;
   Buffer.contents b
 
+(* Ceilings on what a decoded snapshot may make [Network.restore]
+   allocate, checked before it allocates anything.  [Topology.make] only
+   checks [m >= n], so one flipped bit in [m] would otherwise ask for
+   gigabytes of link planes — an uncatchable out-of-memory, or a silent
+   near-gigabyte allocation.  A plane holds [r * m] links of
+   [ceil(k / 62)] words each (packed bitset) or [k] words each (the
+   bool-array reference), once per stage for busy and dead slots.  Both
+   ceilings sit far above anything the tests, benches and CLI build:
+   the largest served fabric (N = 1024 at Theorem 1's m) is
+   32 * 192 = 6,144 words per plane. *)
+let max_state_k = 4096
+let max_state_link_words = 1 lsl 20
+
+let link_words ~r ~m ~words_per_link =
+  (* [r], [m] and [k] are u32s, so the product could overflow *)
+  if r > max_state_link_words / m then max_int
+  else if words_per_link > max_state_link_words / (r * m) then max_int
+  else r * m * words_per_link
+
 let decode_net_state_reader r : Network.snapshot =
   let n = Wire.get_u32 r in
   let m = Wire.get_u32 r in
@@ -137,6 +156,8 @@ let decode_net_state_reader r : Network.snapshot =
     | Ok t -> t
     | Error e -> fail r (Printf.sprintf "invalid topology: %s" e)
   in
+  if k > max_state_k then
+    fail r (Printf.sprintf "implausible wavelength count %d" k);
   let s_construction =
     match Wire.get_u8 r with
     | 0 -> Network.Msw_dominant
@@ -158,6 +179,14 @@ let decode_net_state_reader r : Network.snapshot =
     | 1 -> Network.Reference
     | t -> fail r (Printf.sprintf "unknown link impl tag %d" t)
   in
+  let words_per_link =
+    match s_link_impl with
+    | Network.Bitset -> (k + 61) / 62 (* 62 slots per packed word *)
+    | Network.Reference -> k
+  in
+  if link_words ~r:rr ~m ~words_per_link > max_state_link_words then
+    fail r
+      (Printf.sprintf "implausible link-plane size (r=%d m=%d k=%d)" rr m k);
   let s_rearrange_limit = Wire.get_u32 r in
   let s_next_id = Wire.get_int r in
   let nroutes = Wire.get_u32 r in

@@ -44,7 +44,12 @@ val encode_state : t -> string
 
 val restore :
   ?telemetry:Wdm_telemetry.Sink.t -> string -> (t, string) result
-(** Decode an {!encode_state} string and rebuild a live backend. *)
+(** Decode an {!encode_state} string and rebuild a live backend.
+    Total: damaged bytes give [Error], never an exception.  A multistage
+    state whose wavelength count exceeds 4096, or whose link planes
+    would exceed 2{^20} words each ([r * m * ceil(k/62)] packed, or
+    [r * m * k] for the reference representation), is refused before
+    anything is allocated — far above every shape this project builds. *)
 
 val apply : t -> Op.t -> (unit, string) result
 (** Replay one op with {!Op.apply} semantics: refusals of [Connect] /

@@ -65,7 +65,6 @@ let remove t fd =
   end
 
 let registered t fd = Hashtbl.mem t.interest fd
-let interest t fd = Hashtbl.find_opt t.interest fd
 
 let wait t ~timeout_ms =
   match t.backend with

@@ -34,10 +34,6 @@ val remove : t -> Unix.file_descr -> unit
 
 val registered : t -> Unix.file_descr -> bool
 
-val interest : t -> Unix.file_descr -> (bool * bool) option
-(** The [(read, write)] interest currently registered for an fd, so a
-    caller can change one side without clobbering the other. *)
-
 val wait : t -> timeout_ms:int -> (Unix.file_descr * bool * bool) list
 (** Block up to [timeout_ms] for events; [(fd, readable, writable)]
     per ready descriptor.  Error/hangup conditions are folded into

@@ -74,22 +74,3 @@ let recv_frame fd =
       | Eof_clean | Eof_torn _ -> Bad "peer closed mid-payload"
       | Exact payload ->
         if Crc32.string payload <> crc then Bad "CRC mismatch" else Frame payload)
-
-(* Blocking frame reads over a Framebuf that may already hold bytes —
-   the hand-off path when the event loop detaches a replica connection
-   to its own thread after the hello (the loop may have read past the
-   hello into the first Subscribe frame). *)
-let recv_frame_buffered fd fb =
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    match Framebuf.next_frame fb with
-    | Framebuf.Frame p -> Frame p
-    | Framebuf.Bad reason -> Bad reason
-    | Framebuf.Need _ -> (
-      match read_retry fd chunk 0 (Bytes.length chunk) with
-      | 0 -> if Framebuf.length fb = 0 then Eof else Bad "peer closed mid-frame"
-      | n ->
-        Framebuf.add_subbytes fb chunk ~off:0 ~len:n;
-        go ())
-  in
-  go ()

@@ -67,9 +67,3 @@ val recv_frame : Unix.file_descr -> recv
 (** Reads one frame off the socket: [Eof] at a clean record boundary,
     [Bad] on an implausible length, a CRC mismatch, or a peer that
     died mid-frame — the stream is unrecoverable past a [Bad]. *)
-
-val recv_frame_buffered : Unix.file_descr -> Framebuf.t -> recv
-(** Like {!recv_frame}, but consuming/refilling a {!Framebuf} that may
-    already hold bytes read past a previous boundary.  Used when a
-    connection leaves the event loop for a dedicated thread (replica
-    attach) with loop-buffered bytes still pending. *)

@@ -12,90 +12,51 @@ type role = Leader | Follower
 
 type follower_config = { leader : address; wal : string option }
 
+(* A leader-side replica: a connection whose hello said 'F'.  Its
+   outbox is the connection's own [out_q]. *)
+type replica = {
+  mutable subscribed : bool;  (** Subscribe handled; the stream is live *)
+  mutable pending_digests : (int * int) list;  (** (seq, digest) awaiting ack *)
+}
+
+(* A follower's link to its leader, once connect(2) completed. *)
+type link = { mutable greeted : bool  (** the leader's hello arrived *) }
+
 (* What the event loop believes a connection is.  Every accepted fd
-   starts as [Chello]; the 8-byte hello routes it to the framed
-   request stream, the observability plane, or out of the loop
-   entirely (followers get a dedicated thread, as before). *)
+   starts as [Chello]; the 8-byte hello routes it to the framed request
+   stream or makes it a replica.  A follower's own link to its leader
+   is dialled by the loop and lives in the same table. *)
 type ckind =
   | Chello  (** awaiting the 8-byte hello *)
   | Creq  (** framed request stream *)
   | Chttp  (** observability scraper (/metrics, /healthz, ...) *)
-  | Cdetached  (** handed to a replica thread; the loop forgot it *)
+  | Creplica of replica  (** leader side: a follower's subscription *)
+  | Cdial  (** follower side: connect(2) to the leader in progress *)
+  | Cupstream of link  (** follower side: the leader link *)
 
+(* Every field belongs to the loop thread. *)
 type client = {
   cid : int;
   fd : Unix.file_descr;
-  mutable open_ : bool;  (** guarded by the server mutex *)
-  mutable spans : bool;
-      (** the hello negotiated the span extension; written once by the
-          loop thread before any frame is read *)
-  mutable c_requests : Tel.Metrics.counter option;
-      (** registered after the handshake, guarded by the server mutex *)
-  (* --- event-loop connection state.  [kind], [fb], [rd_eof] and
-     [deadline] belong to the loop thread alone; the output queue
-     ([out_off] loop-only, [out_q]/[out_bytes] shared with the
-     admission thread) and the [want_close]/[kill]/[in_dirty]
-     flags are guarded by the server mutex. *)
   mutable kind : ckind;
+  mutable closed : bool;
+  mutable spans : bool;  (** the hello negotiated the span extension *)
+  mutable c_requests : Tel.Metrics.counter option;
   fb : Framebuf.t;  (** incremental receive buffer *)
   out_q : string Queue.t;
-      (** pending response frames, oldest first; the loop gathers a
-          batch of them into one writev(2) instead of copying them
-          through a coalescing buffer *)
+      (** pending frames, oldest first; a flush gathers a batch of them
+          into one writev(2) *)
   mutable out_off : int;  (** bytes of the front frame already written *)
   mutable out_bytes : int;  (** unwritten output across all queued frames *)
   mutable want_close : bool;  (** close once the output drains *)
-  mutable kill : bool;  (** close now, dropping pending output *)
-  mutable rd_eof : bool;  (** loop: stop reading this connection *)
-  mutable in_dirty : bool;  (** already queued on [t.dirty] *)
+  mutable rd_eof : bool;  (** stop reading this connection *)
   mutable deadline : float;  (** HTTP head timeout (absolute); 0 = none *)
 }
 
-(* An output queue larger than this means the peer is not reading its
-   responses (or asked for more than it can swallow): cut it loose
-   rather than buffer without bound.  Twice the largest legal frame,
-   so one maximal response always fits. *)
+(* An output queue larger than this means the peer is not reading what
+   it is sent: cut it loose rather than buffer without bound.  Twice
+   the largest legal frame, so one maximal frame always fits. *)
 let out_limit = 2 * P.Wire.max_payload
-
-(* A leader-side replica connection.  The admission thread pushes
-   pre-framed bytes into [outbox]; one sender thread per replica drains
-   it, so a slow replica can never stall admission — when the outbox
-   overflows the replica is evicted instead.  [client.open_] is the
-   single close-once guard, exactly as for ordinary clients. *)
-type replica = {
-  client : client;
-  outbox : string Queue.t;  (** guarded by the server mutex *)
-  fcond : Condition.t;  (** signalled on push / close, waits on the mutex *)
-  mutable closing : bool;  (** drain what is queued, then exit *)
-  mutable outbox_bytes : int;
-  mutable acked_seq : int;
-  mutable pending_digests : (int * int) list;  (** (seq, digest) awaiting ack *)
-  mutable sender : Thread.t option;
-}
-
-(* The follower side's link to its leader.  [alive] lets the admission
-   thread tell frames of the current connection from stragglers of a
-   dead one, and guards ack writes against a closed fd. *)
-type repl_conn = { rfd : Unix.file_descr; mutable alive : bool }
-
-type promote_waiter = {
-  mutable result : (int, string) result option;
-  pcond : Condition.t;
-}
-
-type item =
-  | Request of {
-      client : client;
-      req : P.Resp.request;
-      enqueued : float;
-      span : int option;  (** client-minted id from the trailing extension *)
-      decode : float;  (** reader-thread decode time, observed at admission *)
-    }
-  | Malformed of { client : client; reason : string }
-  | Gone of client
-  | Attach of { client : client; epoch : int; last_seq : int }
-  | Repl_msg of { conn : repl_conn; msg : P.Repl.to_follower }
-  | Do_promote of promote_waiter
 
 type instruments = {
   sink : Tel.Sink.t;
@@ -103,15 +64,11 @@ type instruments = {
   responses : Tel.Metrics.counter;
   malformed : Tel.Metrics.counter;
   clients_total : Tel.Metrics.counter;
-  batches : Tel.Metrics.counter;
   accept_errors : Tel.Metrics.counter;
   g_clients_active : Tel.Metrics.gauge;
-  g_queue_depth : Tel.Metrics.gauge;
-  h_batch_size : Tel.Histogram.t;
   h_latency : Tel.Histogram.t;
-  (* per-request stage breakdown (tentpole: where a request's time goes) *)
+  (* per-request stage breakdown: where a request's time goes *)
   h_st_decode : Tel.Histogram.t;
-  h_st_queue : Tel.Histogram.t;
   h_st_execute : Tel.Histogram.t;
   h_st_wal : Tel.Histogram.t;
   h_st_replicate : Tel.Histogram.t;
@@ -138,8 +95,8 @@ type instruments = {
 
 (* One served request's timing record: what the span ring holds, what
    the slow-op log and the Chrome export render.  [sr_start] is the
-   sink-clock instant the reader began decoding the frame; stages are
-   contiguous slices in emission order. *)
+   sink-clock instant decoding began; stages are contiguous slices in
+   emission order. *)
 type span_record = {
   sr_span : int option;
   sr_cid : int;
@@ -151,42 +108,38 @@ type span_record = {
 type t = {
   mutable backend : P.Backend.t;
       (** the replicated state machine — multistage fabric or mesh;
-          replaced when a follower installs a leader snapshot; only
-          the admission thread writes it *)
+          replaced when a follower installs a leader snapshot *)
   mutable store : P.Store.t option;
       (** replaced alongside [backend] in follower mode *)
   ins : instruments option;
   tel : Tel.Sink.t option;
   listen_fd : Unix.file_descr;
-  mutable bound : address;
-  queue : item Queue.t;
-  capacity : int;
-  batch_limit : int;
-  mu : Mutex.t;
-  not_empty : Condition.t;
-  not_full : Condition.t;
-  mutable stopping : bool;
-  mutable stopped : bool;
-  mutable next_cid : int;
-  mutable clients : client list;
-  mutable served_count : int;
-  mutable loop_thread : Thread.t option;
-  mutable admit_thread : Thread.t option;
-  (* event loop *)
+  bound : address;
+  http_fd : Unix.file_descr option;
+  http_bound : address option;
   ev : Evloop.t;
-  wake_r : Unix.file_descr;  (** loop side of the wake pipe *)
-  wake_w : Unix.file_descr;  (** any thread pokes this to wake the loop *)
-  mutable dirty : client list;
-      (** connections with fresh output / close flags awaiting the
-          loop's attention; guarded by the server mutex *)
-  mutable read_paused : bool;
-      (** loop-written under the mutex: the admission queue is at
-          capacity and the loop is waiting on the wake pipe only *)
-  mutable loop_finish : bool;
-      (** stop(): flush remaining output, close everything, exit *)
-  mutable finish_deadline : float;
+  conns : (Unix.file_descr, client) Hashtbl.t;
+      (** keyed by fd; the kernel recycles fds, so a deferred reference
+          to a client is checked against [closed] before use *)
+  scratch : Bytes.t;  (** shared read buffer; bytes move to [c.fb] *)
+  mutable next_cid : int;
+  mutable n_clients : int;  (** open request-plane connections *)
+  mutable served_count : int;
+  mutable stopping : bool;  (** the loop is in its drain phase *)
+  mutable drain_deadline : float;
+  mutable accept_resume_at : float;
+      (** listeners paused after an accept(2) failure; 0 = listening *)
+  mutable last_sweep : float;
   max_conns : int option;
   conn_sndbuf : int option;
+  (* the mailbox: the only state other threads write, under [mbox_mu] *)
+  mbox_mu : Mutex.t;
+  wake_r : Unix.file_descr;  (** loop side of the wake pipe *)
+  wake_w : Unix.file_descr;  (** [promote] and [stop] poke this *)
+  mutable mb_stop : bool;
+  mutable mb_promotes : (int, string) result option ref list;
+  mutable mb_closed : bool;  (** the loop has exited; nobody will answer *)
+  mutable loop_thread : Thread.t option;
   (* replication *)
   mutable role : role;
   mutable epoch : int;  (** this leader generation's id *)
@@ -195,72 +148,56 @@ type t = {
   resume_window : int;
   digest_every : int;
   outbox_capacity : int;
-  follower_sndbuf : int option;
   mutable last_digest_seq : int;
-  mutable replicas : replica list;  (** guarded by the server mutex *)
+  mutable replicas : client list;  (** subscribed replica connections *)
   (* follower role *)
   follower_cfg : follower_config option;
   mutable repl_epoch : int;  (** leader generation we last synced to; 0 none *)
-  mutable repl_conn : repl_conn option;  (** guarded by the server mutex *)
+  mutable upstream : client option;  (** the link to the leader *)
   mutable force_snapshot : bool;  (** next subscribe must ask for a snapshot *)
-  mutable repl_thread : Thread.t option;
+  mutable redial_at : float;  (** 0 = no redial scheduled *)
+  mutable backoff : float;
+  mutable had_link : bool;
   mutable leader_seq : int;
       (** follower: highest seq the leader has shown us (op or digest);
           [leader_seq - rep_seq] is the apply lag *)
   (* observability plane *)
   span_buffer : int;
-  spans_ring : span_record Queue.t;  (** guarded by the server mutex *)
+  spans_ring : span_record Queue.t;
   slow_ms : float option;
-  slow_out : out_channel option;  (** admission thread only *)
+  slow_out : out_channel option;
   slow_owned : bool;  (** [stop] closes [slow_out] only if we opened it *)
   ready_lag : int;
-  mutable http_fd : Unix.file_descr option;
-  mutable http_bound : address option;
 }
 
 let register_instruments sink =
   let reg = sink.Tel.Sink.metrics in
   let c help name = Tel.Metrics.counter reg ~help name in
   let g help name = Tel.Metrics.gauge reg ~help name in
+  let h help name = Tel.Metrics.histogram reg ~help name in
   {
     sink;
-    requests = c "Requests admitted to the queue" "server_requests_total";
+    requests = c "Requests decoded off the wire" "server_requests_total";
     responses = c "Responses written back" "server_responses_total";
     malformed = c "Undecodable frames received" "server_malformed_total";
     clients_total = c "Client connections accepted" "server_clients_total";
-    batches = c "Admission-loop drains" "server_batches_total";
     accept_errors =
       c "Transient accept(2) failures survived and connections rejected \
          by the --max-conns gate"
         "server_accept_errors_total";
     g_clients_active = g "Clients currently connected" "server_clients_active";
-    g_queue_depth = g "Requests waiting for admission" "server_queue_depth";
-    h_batch_size =
-      Tel.Metrics.histogram reg ~help:"Requests taken per drain"
-        ~bounds:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. |]
-        "server_batch_size";
     h_latency =
-      Tel.Metrics.histogram reg
-        ~help:"Enqueue-to-response-written latency of one request"
+      h "Decode-to-response-handed-to-the-socket latency of one request"
         "server_request_latency_seconds";
-    h_st_decode =
-      Tel.Metrics.histogram reg ~help:"Reader-thread frame decode time"
-        "server_stage_decode_seconds";
-    h_st_queue =
-      Tel.Metrics.histogram reg ~help:"Admission-queue wait"
-        "server_stage_queue_seconds";
-    h_st_execute =
-      Tel.Metrics.histogram reg ~help:"Network execute time"
-        "server_stage_execute_seconds";
+    h_st_decode = h "Frame decode time" "server_stage_decode_seconds";
+    h_st_execute = h "Network execute time" "server_stage_execute_seconds";
     h_st_wal =
-      Tel.Metrics.histogram reg ~help:"WAL append (incl. fsync policy) time"
-        "server_stage_wal_seconds";
+      h "WAL append (incl. fsync policy) time" "server_stage_wal_seconds";
     h_st_replicate =
-      Tel.Metrics.histogram reg
-        ~help:"Replication ship time (outbox enqueue across followers)"
+      h "Replication ship time (outbox enqueue across followers)"
         "server_stage_replicate_seconds";
     h_st_respond =
-      Tel.Metrics.histogram reg ~help:"Response frame write time"
+      h "Response encode, enqueue and flush attempt"
         "server_stage_respond_seconds";
     slow_requests =
       c "Requests whose total latency crossed the --slow-ms threshold"
@@ -310,521 +247,6 @@ let leader_string t =
   | Some { leader; _ } -> Format.asprintf "%a" pp_address leader
   | None -> ""
 
-(* ----- bounded queue --------------------------------------------------- *)
-
-let set_depth t =
-  match t.ins with
-  | Some i -> Tel.Metrics.set i.g_queue_depth (float_of_int (Queue.length t.queue))
-  | None -> ()
-
-(* Poke the event loop's wake pipe.  Unconditional and non-blocking: a
-   full pipe means the loop has wakeups queued already, which is all a
-   wake can ask for. *)
-let wake_byte = Bytes.of_string "!"
-
-let wake t =
-  try ignore (Unix.write t.wake_w wake_byte 0 1) with Unix.Unix_error _ -> ()
-
-(* Replica/follower threads, which may legitimately block.  Blocking
-   here when the queue is full is their backpressure.  During shutdown
-   the capacity check is waived so they can always deposit their final
-   [Gone] and exit. *)
-let push t item =
-  Mutex.lock t.mu;
-  while Queue.length t.queue >= t.capacity && not t.stopping do
-    Condition.wait t.not_full t.mu
-  done;
-  Queue.add item t.queue;
-  set_depth t;
-  Condition.signal t.not_empty;
-  Mutex.unlock t.mu
-
-(* Event-loop side: the loop must never sleep on [not_full] (the
-   admission thread wakes it through the pipe, not the condition), so
-   it deposits unconditionally and instead stops reading sockets while
-   the queue is over capacity — same backpressure, different valve. *)
-let push_loop t item =
-  Mutex.lock t.mu;
-  Queue.add item t.queue;
-  set_depth t;
-  Condition.signal t.not_empty;
-  Mutex.unlock t.mu
-
-let queue_depth t =
-  Mutex.lock t.mu;
-  let n = Queue.length t.queue in
-  Mutex.unlock t.mu;
-  n
-
-(* Admission side: take up to [batch_limit] items in one lock hold. *)
-let drain_batch t =
-  Mutex.lock t.mu;
-  while Queue.is_empty t.queue && not t.stopping do
-    Condition.wait t.not_empty t.mu
-  done;
-  let batch = ref [] in
-  let n = ref 0 in
-  while !n < t.batch_limit && not (Queue.is_empty t.queue) do
-    batch := Queue.pop t.queue :: !batch;
-    incr n
-  done;
-  set_depth t;
-  Condition.broadcast t.not_full;
-  let wake_loop = t.read_paused in
-  let finished = t.stopping && Queue.is_empty t.queue && !batch = [] in
-  Mutex.unlock t.mu;
-  if wake_loop then wake t;
-  if finished then None else Some (List.rev !batch)
-
-(* ----- per-client plumbing --------------------------------------------- *)
-
-let close_client t client =
-  Mutex.lock t.mu;
-  let was_open = client.open_ in
-  if was_open then begin
-    client.open_ <- false;
-    t.clients <- List.filter (fun c -> c.cid <> client.cid) t.clients;
-    (match t.ins with
-    | Some i ->
-      Tel.Metrics.set i.g_clients_active (float_of_int (List.length t.clients))
-    | None -> ())
-  end;
-  Mutex.unlock t.mu;
-  if was_open then try Unix.close client.fd with Unix.Unix_error _ -> ()
-
-(* Append bytes to a connection's output queue (any thread) and flag
-   it for the loop.  Returns whether the bytes were accepted — a
-   closed or closing connection swallows them, exactly as the old
-   direct write swallowed EPIPE. *)
-let enqueue_out t c data =
-  Mutex.lock t.mu;
-  let accepted = c.open_ && (not c.want_close) && not c.kill in
-  if accepted then begin
-    if String.length data > 0 then Queue.add data c.out_q;
-    c.out_bytes <- c.out_bytes + String.length data;
-    if c.out_bytes > out_limit then c.kill <- true;
-    if not c.in_dirty then begin
-      c.in_dirty <- true;
-      t.dirty <- c :: t.dirty
-    end
-  end;
-  Mutex.unlock t.mu;
-  if accepted then wake t;
-  accepted
-
-(* Ask the loop to close an event connection once its queued output has
-   been written — the ordered replacement for closing the fd directly,
-   which would race responses still in flight. *)
-let mark_want_close t c =
-  Mutex.lock t.mu;
-  let flag = c.open_ && not c.want_close in
-  if flag then begin
-    c.want_close <- true;
-    if not c.in_dirty then begin
-      c.in_dirty <- true;
-      t.dirty <- c :: t.dirty
-    end
-  end;
-  Mutex.unlock t.mu;
-  if flag then wake t
-
-(* ----- leader-side replication ----------------------------------------- *)
-
-let frame_to_follower msg =
-  let b = Buffer.create 256 in
-  P.Repl.encode_to_follower b msg;
-  P.Wire.frame (Buffer.contents b)
-
-let set_follower_gauges t =
-  match t.ins with
-  | None -> ()
-  | Some i ->
-    Tel.Metrics.set i.g_followers (float_of_int (List.length t.replicas));
-    let lag_ops, lag_bytes =
-      List.fold_left
-        (fun (o, b) f -> (max o (Queue.length f.outbox), max b f.outbox_bytes))
-        (0, 0) t.replicas
-    in
-    Tel.Metrics.set i.g_lag_ops (float_of_int lag_ops);
-    Tel.Metrics.set i.g_lag_bytes (float_of_int lag_bytes)
-
-(* Under the mutex: take the replica out of both registries and flag
-   the fd closed-once.  Returns whether the caller must close it. *)
-let unlink_replica t f =
-  t.replicas <- List.filter (fun g -> g.client.cid <> f.client.cid) t.replicas;
-  set_follower_gauges t;
-  Condition.broadcast f.fcond;
-  if f.client.open_ then begin
-    f.client.open_ <- false;
-    t.clients <- List.filter (fun c -> c.cid <> f.client.cid) t.clients;
-    true
-  end
-  else false
-
-let drop_replica t f =
-  Mutex.lock t.mu;
-  let close = unlink_replica t f in
-  Mutex.unlock t.mu;
-  if close then begin
-    (try Unix.shutdown f.client.fd Unix.SHUTDOWN_ALL
-     with Unix.Unix_error _ -> ());
-    try Unix.close f.client.fd with Unix.Unix_error _ -> ()
-  end
-
-(* One sender thread per replica: pop, write, repeat.  Exits when the
-   outbox is empty and the replica is closing (graceful stop drained
-   everything) or gone (evicted / connection lost). *)
-let sender_loop t f =
-  let run = ref true in
-  while !run do
-    Mutex.lock t.mu;
-    while Queue.is_empty f.outbox && f.client.open_ && not f.closing do
-      Condition.wait f.fcond t.mu
-    done;
-    if not (Queue.is_empty f.outbox) then begin
-      let frame = Queue.pop f.outbox in
-      f.outbox_bytes <- f.outbox_bytes - String.length frame;
-      Mutex.unlock t.mu;
-      match Protocol.write_all f.client.fd frame with
-      | () -> ()
-      | exception (Unix.Unix_error _ | Sys_error _) ->
-        drop_replica t f;
-        run := false
-    end
-    else begin
-      Mutex.unlock t.mu;
-      run := false (* empty and closing-or-closed *)
-    end
-  done
-
-(* Admission-thread side: queue one frame to every live replica.  A
-   full outbox evicts the replica — admission must never wait for a
-   slow consumer.  Returns the evicted replicas for fd teardown
-   outside the lock. *)
-let offer_frame t frame =
-  let evicted = ref [] in
-  Mutex.lock t.mu;
-  List.iter
-    (fun f ->
-      if f.client.open_ && not f.closing then begin
-        if Queue.length f.outbox >= t.outbox_capacity then
-          evicted := f :: !evicted
-        else begin
-          Queue.add frame f.outbox;
-          f.outbox_bytes <- f.outbox_bytes + String.length frame;
-          (match t.ins with
-          | Some i ->
-            Tel.Metrics.inc i.r_ops_sent;
-            Tel.Metrics.add i.r_bytes_sent (String.length frame)
-          | None -> ());
-          Condition.signal f.fcond
-        end
-      end)
-    t.replicas;
-  set_follower_gauges t;
-  Mutex.unlock t.mu;
-  List.iter
-    (fun f ->
-      inc t (fun i -> i.r_evictions);
-      drop_replica t f)
-    !evicted
-
-let offer_digest t =
-  let digest = P.Backend.digest t.backend in
-  let seq = t.rep_seq in
-  let frame = frame_to_follower (P.Repl.Rep_digest { seq; digest }) in
-  Mutex.lock t.mu;
-  List.iter
-    (fun f ->
-      if f.client.open_ && not f.closing
-         && Queue.length f.outbox < t.outbox_capacity
-      then begin
-        Queue.add frame f.outbox;
-        f.outbox_bytes <- f.outbox_bytes + String.length frame;
-        f.pending_digests <- (seq, digest) :: f.pending_digests;
-        Condition.signal f.fcond
-      end)
-    t.replicas;
-  Mutex.unlock t.mu
-
-(* Called by the admission thread for every committed op, after the
-   WAL append: the replication stream is the WAL, frame by frame. *)
-let replicate t op =
-  t.rep_seq <- t.rep_seq + 1;
-  Queue.add (t.rep_seq, op) t.ring;
-  if Queue.length t.ring > t.resume_window then ignore (Queue.pop t.ring);
-  let have_replicas =
-    Mutex.lock t.mu;
-    let r = t.replicas <> [] in
-    Mutex.unlock t.mu;
-    r
-  in
-  if have_replicas then begin
-    offer_frame t (frame_to_follower (P.Repl.Rep_op { seq = t.rep_seq; op }));
-    if t.rep_seq - t.last_digest_seq >= t.digest_every then begin
-      t.last_digest_seq <- t.rep_seq;
-      offer_digest t
-    end
-  end
-
-(* Admission-thread handling of a follower's Subscribe: decide resume
-   vs snapshot at a point where no op can slip between the decision
-   and the stream start — the admission thread is the only writer. *)
-let handle_attach t client ~epoch ~last_seq =
-  if t.role <> Leader then begin
-    (try
-       Protocol.write_all client.fd
-         (frame_to_follower (P.Repl.Goodbye { reason = "not the leader" }))
-     with Unix.Unix_error _ | Sys_error _ -> ());
-    close_client t client
-  end
-  else begin
-    Mutex.lock t.mu;
-    let live = client.open_ in
-    let f =
-      if not live then None
-      else begin
-        (* migrate from the client registry to the replica registry:
-           replication connections outlive the client shutdown phase
-           of [stop] so the final ops still reach them *)
-        t.clients <- List.filter (fun c -> c.cid <> client.cid) t.clients;
-        (match t.ins with
-        | Some i ->
-          Tel.Metrics.set i.g_clients_active
-            (float_of_int (List.length t.clients))
-        | None -> ());
-        let f =
-          {
-            client;
-            outbox = Queue.create ();
-            fcond = Condition.create ();
-            closing = false;
-            outbox_bytes = 0;
-            acked_seq = last_seq;
-            pending_digests = [];
-            sender = None;
-          }
-        in
-        t.replicas <- f :: t.replicas;
-        set_follower_gauges t;
-        Some f
-      end
-    in
-    Mutex.unlock t.mu;
-    match f with
-    | None -> ()
-    | Some f ->
-      let ring_floor = t.rep_seq - Queue.length t.ring in
-      let init =
-        if
-          epoch = t.epoch && last_seq >= ring_floor && last_seq <= t.rep_seq
-        then begin
-          inc t (fun i -> i.r_resumes);
-          let backlog =
-            Queue.fold
-              (fun acc (seq, op) ->
-                if seq > last_seq then
-                  frame_to_follower (P.Repl.Rep_op { seq; op }) :: acc
-                else acc)
-              [] t.ring
-          in
-          frame_to_follower (P.Repl.Init_resume { epoch = t.epoch; seq = last_seq })
-          :: List.rev backlog
-        end
-        else begin
-          inc t (fun i -> i.r_snapshots_sent);
-          [
-            frame_to_follower
-              (P.Repl.Init_snapshot
-                 {
-                   epoch = t.epoch;
-                   seq = t.rep_seq;
-                   state = P.Backend.encode_state t.backend;
-                 });
-          ]
-        end
-      in
-      let digest = P.Backend.digest t.backend in
-      let dig_frame =
-        frame_to_follower (P.Repl.Rep_digest { seq = t.rep_seq; digest })
-      in
-      Mutex.lock t.mu;
-      if f.client.open_ then begin
-        List.iter
-          (fun frame ->
-            Queue.add frame f.outbox;
-            f.outbox_bytes <- f.outbox_bytes + String.length frame)
-          (init @ [ dig_frame ]);
-        f.pending_digests <- [ (t.rep_seq, digest) ];
-        f.sender <- Some (Thread.create (fun () -> sender_loop t f) ());
-        Condition.signal f.fcond
-      end;
-      Mutex.unlock t.mu
-  end
-
-(* Ack handling runs on the replica's reader thread, not admission:
-   it only touches the replica record (under the mutex), never the
-   network.  Returns [false] when the replica was dropped. *)
-let handle_ack t client ~seq ~digest =
-  Mutex.lock t.mu;
-  let f = List.find_opt (fun f -> f.client.cid = client.cid) t.replicas in
-  let verdict =
-    match f with
-    | None -> `Ignore
-    | Some f -> (
-      f.acked_seq <- max f.acked_seq seq;
-      match List.assoc_opt seq f.pending_digests with
-      | None -> `Ignore (* an ack we no longer remember sending *)
-      | Some sent ->
-        f.pending_digests <- List.remove_assoc seq f.pending_digests;
-        if sent = digest then `Ok else `Mismatch f)
-  in
-  Mutex.unlock t.mu;
-  match verdict with
-  | `Ignore -> true
-  | `Ok ->
-    inc t (fun i -> i.r_digest_checks);
-    true
-  | `Mismatch f ->
-    inc t (fun i -> i.r_digest_checks);
-    inc t (fun i -> i.r_digest_failures);
-    inc t (fun i -> i.r_evictions);
-    drop_replica t f;
-    false
-
-(* The per-connection thread of an attached follower, after the
-   Subscribe was queued: consume acks until the link dies.  Reads go
-   through the connection's Framebuf — the event loop may have read
-   past the hello before detaching this fd to us. *)
-let replica_reader_loop t client =
-  let run = ref true in
-  while !run do
-    match Protocol.recv_frame_buffered client.fd client.fb with
-    | exception Unix.Unix_error _ -> run := false
-    | Protocol.Eof | Protocol.Bad _ -> run := false
-    | Protocol.Frame payload -> (
-      match P.Repl.to_leader_of_string payload with
-      | Ok (P.Repl.Ack { seq; digest }) ->
-        if not (handle_ack t client ~seq ~digest) then run := false
-      | Ok (P.Repl.Subscribe _) | Error _ -> run := false)
-  done;
-  Mutex.lock t.mu;
-  let stopping = t.stopping in
-  let f = List.find_opt (fun f -> f.client.cid = client.cid) t.replicas in
-  Mutex.unlock t.mu;
-  match f with
-  | Some f ->
-    (* During [stop] this EOF is self-inflicted (the SHUTDOWN_RECEIVE
-       that wakes blocked readers): dropping here would cut the outbox
-       with the tail ops still queued, losing the stream's end.  [stop]
-       drains and tears the replica down itself; a genuinely dead peer
-       is still caught by the sender's own write failure. *)
-    if not stopping then drop_replica t f
-  | None ->
-    (* the Attach may still be queued, or was refused; the admission
-       thread owns the cleanup either way *)
-    push t (Gone client)
-
-(* ----- follower-side replication --------------------------------------- *)
-
-let shutdown_conn conn =
-  conn.alive <- false;
-  try Unix.shutdown conn.rfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-
-(* Admission thread, follower role: the replication stream diverged
-   (bad seq, undecodable state, digest mismatch).  Drop the link and
-   make the next subscribe demand a fresh snapshot. *)
-let resync t conn =
-  Mutex.lock t.mu;
-  t.force_snapshot <- true;
-  (match t.repl_conn with
-  | Some c when c == conn -> t.repl_conn <- None
-  | _ -> ());
-  Mutex.unlock t.mu;
-  shutdown_conn conn
-
-let send_ack t conn ~seq ~digest =
-  let b = Buffer.create 32 in
-  P.Repl.encode_to_leader b (P.Repl.Ack { seq; digest });
-  let frame = P.Wire.frame (Buffer.contents b) in
-  Mutex.lock t.mu;
-  (if conn.alive then
-     try Protocol.write_all conn.rfd frame
-     with Unix.Unix_error _ | Sys_error _ -> ());
-  Mutex.unlock t.mu
-
-(* Admission thread: apply one replication message.  Stale frames from
-   a connection the follower already abandoned are dropped — the new
-   subscribe re-fetches whatever they carried. *)
-let handle_repl t conn msg =
-  let current =
-    Mutex.lock t.mu;
-    let c = match t.repl_conn with Some c -> c == conn | None -> false in
-    Mutex.unlock t.mu;
-    c
-  in
-  if current then begin
-    (* every message that names a leader seq tells us how far ahead the
-       leader is; the gap to [rep_seq] is the apply lag /readyz gates on *)
-    (match msg with
-    | P.Repl.Init_snapshot { seq; _ }
-    | P.Repl.Init_resume { seq; _ }
-    | P.Repl.Rep_op { seq; _ }
-    | P.Repl.Rep_digest { seq; _ } ->
-      if seq > t.leader_seq then t.leader_seq <- seq
-    | P.Repl.Goodbye _ -> ());
-    (match msg with
-    | P.Repl.Init_snapshot { epoch; seq; state } -> (
-      match P.Backend.restore ?telemetry:t.tel state with
-      | Error _ -> resync t conn
-      | exception Invalid_argument _ -> resync t conn
-      | Ok backend ->
-        t.backend <- backend;
-        t.rep_seq <- seq;
-        t.repl_epoch <- epoch;
-        inc t (fun i -> i.r_snapshots_recv);
-        (match t.follower_cfg with
-        | Some { wal = Some wal; _ } ->
-          (match t.store with
-          | Some s -> ( try P.Store.close s with Sys_error _ -> ())
-          | None -> ());
-          t.store <- Some (P.Store.start_backend ?telemetry:t.tel ~wal backend);
-          P.Repl.save_mark ~wal { P.Repl.epoch; base_seq = seq }
-        | _ -> ()))
-    | P.Repl.Init_resume { epoch; seq } ->
-      if seq <> t.rep_seq then resync t conn else t.repl_epoch <- epoch
-    | P.Repl.Rep_op { seq; op } ->
-      if seq <> t.rep_seq + 1 then resync t conn
-      else (
-        match P.Backend.apply t.backend op with
-        | Ok _ ->
-          t.rep_seq <- seq;
-          inc t (fun i -> i.r_applied);
-          Option.iter (fun s -> P.Store.log s op) t.store
-        | Error _ -> resync t conn)
-    | P.Repl.Rep_digest { seq; digest } ->
-      let own = P.Backend.digest t.backend in
-      if seq <> t.rep_seq || own <> digest then begin
-        inc t (fun i -> i.r_digest_mismatch);
-        resync t conn
-      end
-      else send_ack t conn ~seq ~digest:own
-    | P.Repl.Goodbye _ ->
-      (* end of this link's stream (leader goodbye, or the reader's
-         synthetic one after EOF): every earlier message has been
-         applied, so dropping the link reference is now loss-free *)
-      Mutex.lock t.mu;
-      (match t.repl_conn with
-      | Some c when c == conn -> t.repl_conn <- None
-      | _ -> ());
-      Mutex.unlock t.mu);
-    match t.ins with
-    | Some i ->
-      Tel.Metrics.set i.g_follower_lag
-        (float_of_int (max 0 (t.leader_seq - t.rep_seq)))
-    | None -> ()
-  end
-
 let sockaddr_of_address = function
   | Tcp (host, port) ->
     let inet =
@@ -834,128 +256,415 @@ let sockaddr_of_address = function
     (Unix.PF_INET, Unix.ADDR_INET (inet, port))
   | Unix_socket path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
 
-(* Sleep in small slices so [stop] never waits out a full backoff. *)
-let nap t seconds =
-  let left = ref seconds in
-  while !left > 0. && not t.stopping do
-    Thread.delay (min 0.05 !left);
-    left := !left -. 0.05
-  done
+(* ----- connections ----------------------------------------------------- *)
 
-(* The follower's replication client: dial the leader, subscribe,
-   feed frames into the admission queue, reconnect with capped
-   exponential backoff on any failure.  Runs until the server stops
-   or this node is promoted. *)
-let repl_loop t cfg =
-  let backoff = ref 0.05 in
-  let had_conn = ref false in
-  let running () =
-    Mutex.lock t.mu;
-    let r = (not t.stopping) && t.role = Follower in
-    Mutex.unlock t.mu;
-    r
-  in
-  while running () do
-    let fd =
-      match
-        let domain, sockaddr = sockaddr_of_address cfg.leader in
-        let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-        (try Unix.connect fd sockaddr
-         with e ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           raise e);
-        Protocol.write_all fd Protocol.follower_hello;
-        match Protocol.read_exactly fd P.Wire.header_len with
-        | Protocol.Exact hello when Protocol.check_server_hello hello = Ok () ->
-          fd
-        | _ ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          failwith "bad hello"
-      with
-      | fd -> Some fd
-      | exception (Unix.Unix_error _ | Failure _ | Not_found) -> None
+let set_clients_gauge t =
+  match t.ins with
+  | Some i -> Tel.Metrics.set i.g_clients_active (float_of_int t.n_clients)
+  | None -> ()
+
+let set_follower_gauges t =
+  match t.ins with
+  | None -> ()
+  | Some i ->
+    Tel.Metrics.set i.g_followers (float_of_int (List.length t.replicas));
+    let lag_ops, lag_bytes =
+      List.fold_left
+        (fun (o, b) c -> (max o (Queue.length c.out_q), max b c.out_bytes))
+        (0, 0) t.replicas
     in
-    match fd with
-    | None ->
-      nap t !backoff;
-      backoff := min 2.0 (!backoff *. 2.)
-    | Some fd ->
-      let conn = { rfd = fd; alive = true } in
-      Mutex.lock t.mu;
-      let go = (not t.stopping) && t.role = Follower in
-      if go then t.repl_conn <- Some conn;
-      let epoch = t.repl_epoch in
-      let last_seq = if t.force_snapshot then -1 else t.rep_seq in
-      Mutex.unlock t.mu;
-      if not go then ( try Unix.close fd with Unix.Unix_error _ -> ())
-      else begin
-        let subscribed =
-          match
-            let b = Buffer.create 32 in
-            P.Repl.encode_to_leader b (P.Repl.Subscribe { epoch; last_seq });
-            Protocol.send_frame fd (Buffer.contents b)
-          with
-          | () -> true
-          | exception (Unix.Unix_error _ | Sys_error _) -> false
-        in
-        if subscribed then begin
-          if !had_conn then inc t (fun i -> i.r_reconnects);
-          had_conn := true;
-          backoff := 0.05;
-          let run = ref true in
-          while !run do
-            match Protocol.recv_frame fd with
-            | exception Unix.Unix_error _ -> run := false
-            | Protocol.Eof | Protocol.Bad _ -> run := false
-            | Protocol.Frame payload -> (
-              match P.Repl.to_follower_of_string payload with
-              | Ok (P.Repl.Goodbye _) -> run := false
-              | Ok msg -> push t (Repl_msg { conn; msg })
-              | Error _ -> run := false)
-          done
-        end;
-        Mutex.lock t.mu;
-        conn.alive <- false;
-        Mutex.unlock t.mu;
-        (* The link is down, but the stream's tail may still sit in the
-           admission queue: clearing [repl_conn] here would make
-           [handle_repl] drop those messages as stale and lose the ops
-           for good (a dead leader cannot resend them).  Instead, push
-           a synthetic Goodbye through the same queue — the admission
-           thread clears the link only after applying everything that
-           arrived before it — and wait for that to happen so the next
-           subscribe's [last_seq] counts the whole tail. *)
-        push t (Repl_msg { conn; msg = P.Repl.Goodbye { reason = "link closed" } });
-        let rec wait_cleared n =
-          let cleared =
-            Mutex.lock t.mu;
-            let c =
-              match t.repl_conn with Some c -> not (c == conn) | None -> true
-            in
-            Mutex.unlock t.mu;
-            c
-          in
-          if (not cleared) && n < 500 && not t.stopping then begin
-            Thread.delay 0.01;
-            wait_cleared (n + 1)
+    Tel.Metrics.set i.g_lag_ops (float_of_int lag_ops);
+    Tel.Metrics.set i.g_lag_bytes (float_of_int lag_bytes)
+
+let register t fd kind =
+  let c =
+    {
+      cid = t.next_cid;
+      fd;
+      kind;
+      closed = false;
+      spans = false;
+      c_requests = None;
+      fb = Framebuf.create ();
+      out_q = Queue.create ();
+      out_off = 0;
+      out_bytes = 0;
+      want_close = false;
+      rd_eof = false;
+      deadline = 0.;
+    }
+  in
+  t.next_cid <- t.next_cid + 1;
+  Hashtbl.replace t.conns fd c;
+  c
+
+(* Capped exponential backoff between dials of the leader; the loop's
+   wait timeout honours [redial_at]. *)
+let schedule_redial t =
+  t.redial_at <- Unix.gettimeofday () +. t.backoff;
+  t.backoff <- min 2.0 (t.backoff *. 2.)
+
+let close_conn t c =
+  if not c.closed then begin
+    c.closed <- true;
+    Hashtbl.remove t.conns c.fd;
+    Evloop.remove t.ev c.fd;
+    (match c.kind with
+    | Chello | Creq ->
+      t.n_clients <- t.n_clients - 1;
+      set_clients_gauge t
+    | Creplica _ ->
+      t.replicas <- List.filter (fun r -> r != c) t.replicas;
+      set_follower_gauges t
+    | Cdial | Cupstream _ ->
+      (* every frame this link delivered has already been applied, so
+         dropping it loses nothing; a follower dials again *)
+      t.upstream <- None;
+      if t.role = Follower && not t.stopping then schedule_redial t
+    | Chttp -> ());
+    try Unix.close c.fd with Unix.Unix_error _ -> ()
+  end
+
+(* Append one frame to a connection's output queue.  Returns whether
+   the bytes were accepted — a closed or closing connection swallows
+   them.  A peer that lets [out_limit] pile up is dropped at the next
+   flush. *)
+let enqueue_out c data =
+  let accepted = (not c.closed) && not c.want_close in
+  if accepted then begin
+    Queue.add data c.out_q;
+    c.out_bytes <- c.out_bytes + String.length data;
+    if c.out_bytes > out_limit then begin
+      Queue.clear c.out_q;
+      c.out_bytes <- 0;
+      c.out_off <- 0;
+      c.want_close <- true;
+      c.rd_eof <- true
+    end
+  end;
+  accepted
+
+let set_interest t c ~write =
+  Evloop.modify t.ev c.fd ~read:((not c.rd_eof) && not t.stopping) ~write
+
+(* Gather-write: bytes written, -1 EAGAIN, -2 EINTR, -3 dead peer.
+   The stub keeps the runtime lock (the iovec points into the heap),
+   which a nonblocking fd makes harmless. *)
+external writev_frames : Unix.file_descr -> string array -> int -> int
+  = "wdm_writev"
+
+(* How many queued frames one writev gathers; must not exceed the
+   stub's WDM_IOV_MAX. *)
+let max_iov = 64
+
+(* Write as much queued output as the kernel will take.  Only fully
+   written frames are popped, so a partial write (tiny SO_SNDBUF)
+   resumes from [out_off] of the front frame. *)
+let rec conn_flush t c =
+  if not c.closed then
+    if Queue.is_empty c.out_q then begin
+      if c.want_close then close_conn t c else set_interest t c ~write:false
+    end
+    else begin
+      let batch = Array.make (min (Queue.length c.out_q) max_iov) "" in
+      (try
+         Queue.fold
+           (fun i s ->
+             if i >= Array.length batch then raise Exit;
+             batch.(i) <- s;
+             i + 1)
+           0 c.out_q
+         |> ignore
+       with Exit -> ());
+      match writev_frames c.fd batch c.out_off with
+      | -2 (* EINTR *) -> conn_flush t c
+      | -1 | 0 (* EAGAIN, or a kernel that took nothing *) ->
+        set_interest t c ~write:true
+      | n when n < 0 ->
+        (* EPIPE/ECONNRESET: the peer is gone; pending output is moot *)
+        close_conn t c
+      | n ->
+        c.out_bytes <- c.out_bytes - n;
+        let rem = ref n in
+        while !rem > 0 do
+          let avail = String.length (Queue.peek c.out_q) - c.out_off in
+          if !rem >= avail then begin
+            ignore (Queue.pop c.out_q);
+            c.out_off <- 0;
+            rem := !rem - avail
           end
-        in
-        wait_cleared 0;
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        nap t !backoff
+          else begin
+            c.out_off <- c.out_off + !rem;
+            rem := 0
+          end
+        done;
+        conn_flush t c
+    end
+
+(* ----- leader-side replication ----------------------------------------- *)
+
+let frame_to_follower msg =
+  let b = Buffer.create 256 in
+  P.Repl.encode_to_follower b msg;
+  P.Wire.frame (Buffer.contents b)
+
+let evict t c =
+  inc t (fun i -> i.r_evictions);
+  close_conn t c
+
+(* Queue one frame to every replica.  A full outbox evicts the replica
+   — admission never waits for a slow consumer. *)
+let offer_frame t frame =
+  List.iter
+    (fun c ->
+      if Queue.length c.out_q >= t.outbox_capacity then evict t c
+      else if enqueue_out c frame then
+        match t.ins with
+        | Some i ->
+          Tel.Metrics.inc i.r_ops_sent;
+          Tel.Metrics.add i.r_bytes_sent (String.length frame)
+        | None -> ())
+    t.replicas;
+  set_follower_gauges t
+
+let offer_digest t =
+  let digest = P.Backend.digest t.backend in
+  let seq = t.rep_seq in
+  let frame = frame_to_follower (P.Repl.Rep_digest { seq; digest }) in
+  List.iter
+    (fun c ->
+      match c.kind with
+      | Creplica r when Queue.length c.out_q < t.outbox_capacity ->
+        if enqueue_out c frame then
+          r.pending_digests <- (seq, digest) :: r.pending_digests
+      | _ -> ())
+    t.replicas
+
+(* Every committed op, after the WAL append: the replication stream is
+   the WAL, frame by frame. *)
+let replicate t op =
+  t.rep_seq <- t.rep_seq + 1;
+  Queue.add (t.rep_seq, op) t.ring;
+  if Queue.length t.ring > t.resume_window then ignore (Queue.pop t.ring);
+  if t.replicas <> [] then begin
+    offer_frame t (frame_to_follower (P.Repl.Rep_op { seq = t.rep_seq; op }));
+    if t.rep_seq - t.last_digest_seq >= t.digest_every then begin
+      t.last_digest_seq <- t.rep_seq;
+      offer_digest t
+    end
+  end
+
+(* A follower's Subscribe: decide resume vs snapshot.  No op can slip
+   between the decision and the stream start — this loop is the only
+   writer. *)
+let handle_attach t c r ~epoch ~last_seq =
+  if t.role <> Leader then begin
+    ignore
+      (enqueue_out c
+         (frame_to_follower (P.Repl.Goodbye { reason = "not the leader" })));
+    c.want_close <- true
+  end
+  else begin
+    let ring_floor = t.rep_seq - Queue.length t.ring in
+    let init =
+      if epoch = t.epoch && last_seq >= ring_floor && last_seq <= t.rep_seq
+      then begin
+        inc t (fun i -> i.r_resumes);
+        frame_to_follower (P.Repl.Init_resume { epoch = t.epoch; seq = last_seq })
+        :: List.rev
+             (Queue.fold
+                (fun acc (seq, op) ->
+                  if seq > last_seq then
+                    frame_to_follower (P.Repl.Rep_op { seq; op }) :: acc
+                  else acc)
+                [] t.ring)
       end
+      else begin
+        inc t (fun i -> i.r_snapshots_sent);
+        [
+          frame_to_follower
+            (P.Repl.Init_snapshot
+               {
+                 epoch = t.epoch;
+                 seq = t.rep_seq;
+                 state = P.Backend.encode_state t.backend;
+               });
+        ]
+      end
+    in
+    let digest = P.Backend.digest t.backend in
+    let dig = P.Repl.Rep_digest { seq = t.rep_seq; digest } in
+    List.iter
+      (fun f -> ignore (enqueue_out c f))
+      (init @ [ frame_to_follower dig ]);
+    r.subscribed <- true;
+    r.pending_digests <- [ (t.rep_seq, digest) ];
+    t.replicas <- c :: t.replicas;
+    set_follower_gauges t
+  end
+
+let handle_ack t c r ~seq ~digest =
+  match List.assoc_opt seq r.pending_digests with
+  | None -> () (* an ack we no longer remember sending *)
+  | Some sent ->
+    r.pending_digests <- List.remove_assoc seq r.pending_digests;
+    inc t (fun i -> i.r_digest_checks);
+    if sent <> digest then begin
+      inc t (fun i -> i.r_digest_failures);
+      evict t c
+    end
+
+(* Frames from a replica: one Subscribe, then digest acks. *)
+let replica_frames t c r =
+  let continue = ref true in
+  while !continue && not c.closed do
+    match Framebuf.next_frame c.fb with
+    | Framebuf.Need _ -> continue := false
+    | Framebuf.Bad _ -> close_conn t c
+    | Framebuf.Frame payload -> (
+      match P.Repl.to_leader_of_string payload with
+      | Ok (P.Repl.Subscribe { epoch; last_seq }) when not r.subscribed ->
+        handle_attach t c r ~epoch ~last_seq
+      | Ok (P.Repl.Ack { seq; digest }) when r.subscribed ->
+        handle_ack t c r ~seq ~digest
+      | Ok _ | Error _ -> close_conn t c)
   done
 
-(* ----- admission loop -------------------------------------------------- *)
+(* ----- follower-side replication --------------------------------------- *)
 
-(* Frame a response and hand it to the event loop's output queue: the
-   admission thread never blocks on a peer's socket.  A batch reply
+(* The stream diverged (bad seq, undecodable state, digest mismatch):
+   drop the link and make the next subscribe demand a fresh snapshot. *)
+let resync t c =
+  t.force_snapshot <- true;
+  close_conn t c
+
+let send_ack c ~seq ~digest =
+  let b = Buffer.create 32 in
+  P.Repl.encode_to_leader b (P.Repl.Ack { seq; digest });
+  ignore (enqueue_out c (P.Wire.frame (Buffer.contents b)))
+
+(* Apply one replication message, in the pass that decoded it. *)
+let handle_repl t c msg =
+  (* every message that names a leader seq tells us how far ahead the
+     leader is; the gap to [rep_seq] is the apply lag /readyz gates on *)
+  (match msg with
+  | P.Repl.Init_snapshot { seq; _ }
+  | P.Repl.Init_resume { seq; _ }
+  | P.Repl.Rep_op { seq; _ }
+  | P.Repl.Rep_digest { seq; _ } ->
+    if seq > t.leader_seq then t.leader_seq <- seq
+  | P.Repl.Goodbye _ -> ());
+  (match msg with
+  | P.Repl.Init_snapshot { epoch; seq; state } -> (
+    match P.Backend.restore ?telemetry:t.tel state with
+    | Error _ | (exception Invalid_argument _) -> resync t c
+    | Ok backend -> (
+      t.backend <- backend;
+      t.rep_seq <- seq;
+      t.repl_epoch <- epoch;
+      inc t (fun i -> i.r_snapshots_recv);
+      match t.follower_cfg with
+      | Some { wal = Some wal; _ } ->
+        (match t.store with
+        | Some s -> ( try P.Store.close s with Sys_error _ -> ())
+        | None -> ());
+        t.store <- Some (P.Store.start_backend ?telemetry:t.tel ~wal backend);
+        P.Repl.save_mark ~wal { P.Repl.epoch; base_seq = seq }
+      | _ -> ()))
+  | P.Repl.Init_resume { epoch; seq } ->
+    if seq <> t.rep_seq then resync t c else t.repl_epoch <- epoch
+  | P.Repl.Rep_op { seq; op } -> (
+    if seq <> t.rep_seq + 1 then resync t c
+    else
+      match P.Backend.apply t.backend op with
+      | Ok _ ->
+        t.rep_seq <- seq;
+        inc t (fun i -> i.r_applied);
+        Option.iter (fun s -> P.Store.log s op) t.store
+      | Error _ -> resync t c)
+  | P.Repl.Rep_digest { seq; digest } ->
+    let own = P.Backend.digest t.backend in
+    if seq <> t.rep_seq || own <> digest then begin
+      inc t (fun i -> i.r_digest_mismatch);
+      resync t c
+    end
+    else send_ack c ~seq ~digest:own
+  | P.Repl.Goodbye _ -> close_conn t c);
+  match t.ins with
+  | Some i ->
+    Tel.Metrics.set i.g_follower_lag
+      (float_of_int (max 0 (t.leader_seq - t.rep_seq)))
+  | None -> ()
+
+(* Frames from the leader: its 8-byte hello, then the op stream. *)
+let upstream_frames t c g =
+  if (not g.greeted) && Framebuf.length c.fb >= P.Wire.header_len then begin
+    if Protocol.check_server_hello (Framebuf.take c.fb P.Wire.header_len) <> Ok ()
+    then close_conn t c
+    else begin
+      g.greeted <- true;
+      if t.had_link then inc t (fun i -> i.r_reconnects);
+      t.had_link <- true;
+      t.backoff <- 0.05
+    end
+  end;
+  let continue = ref g.greeted in
+  while !continue && not c.closed do
+    match Framebuf.next_frame c.fb with
+    | Framebuf.Need _ -> continue := false
+    | Framebuf.Bad _ -> close_conn t c
+    | Framebuf.Frame payload -> (
+      match P.Repl.to_follower_of_string payload with
+      | Ok msg -> handle_repl t c msg
+      | Error _ -> close_conn t c)
+  done
+
+(* The connection is up: send the hello and the subscribe back to back
+   (the leader reads them in order) and start reading. *)
+let link_up t c =
+  c.kind <- Cupstream { greeted = false };
+  let b = Buffer.create 32 in
+  P.Repl.encode_to_leader b
+    (P.Repl.Subscribe
+       {
+         epoch = t.repl_epoch;
+         last_seq = (if t.force_snapshot then -1 else t.rep_seq);
+       });
+  ignore (enqueue_out c Protocol.follower_hello);
+  ignore (enqueue_out c (P.Wire.frame (Buffer.contents b)));
+  conn_flush t c
+
+let dial t leader =
+  t.redial_at <- 0.;
+  match
+    let domain, sockaddr = sockaddr_of_address leader in
+    (Unix.socket domain Unix.SOCK_STREAM 0, sockaddr)
+  with
+  | exception (Unix.Unix_error _ | Not_found) -> schedule_redial t
+  | fd, sockaddr -> (
+    Unix.set_nonblock fd;
+    let c = register t fd Cdial in
+    t.upstream <- Some c;
+    Evloop.add t.ev fd ~read:false ~write:true;
+    match Unix.connect fd sockaddr with
+    | () -> link_up t c
+    | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ()
+    | exception Unix.Unix_error _ -> close_conn t c)
+
+let finish_dial t c =
+  match Unix.getsockopt_error c.fd with
+  | None -> link_up t c
+  | Some _ | (exception Unix.Unix_error _) -> close_conn t c
+
+(* ----- request execution ----------------------------------------------- *)
+
+(* Frame a response onto the connection's output queue.  A batch reply
    counts once per sub-response so the counter reconciles with
    [server_requests_total] whichever way the ops arrived. *)
-let send_response t client resp =
+let send_response t c resp =
   let b = Buffer.create 64 in
   P.Resp.encode b resp;
-  if enqueue_out t client (P.Wire.frame (Buffer.contents b)) then
+  if enqueue_out c (P.Wire.frame (Buffer.contents b)) then
     match t.ins with
     | Some i ->
       let n =
@@ -968,34 +677,23 @@ let send_response t client resp =
 
 (* How far behind the slowest consumer is: on a follower the gap to
    the leader's newest shown seq, on a leader the deepest replica
-   outbox.  Admission-thread callers already own the interesting
-   fields; the replica scan still takes the mutex. *)
+   outbox. *)
 let current_lag t =
   match t.role with
   | Follower -> max 0 (t.leader_seq - t.rep_seq)
   | Leader ->
-    Mutex.lock t.mu;
-    let lag =
-      List.fold_left (fun acc f -> max acc (Queue.length f.outbox)) 0 t.replicas
-    in
-    Mutex.unlock t.mu;
-    lag
+    List.fold_left (fun acc c -> max acc (Queue.length c.out_q)) 0 t.replicas
 
-(* Get_stats runs on the admission thread.  Role, epoch, applied seq
-   and lag ride alongside the metrics so a poller (wdmnet top, the CI
-   smoke) can assert convergence without a digest round-trip; a
-   follower reports the leader generation it synced to. *)
+(* Role, epoch, applied seq and lag ride alongside the metrics so a
+   poller (wdmnet top, the CI smoke) can assert convergence without a
+   digest round-trip; a follower reports the leader generation it
+   synced to. *)
 let stats_renderer t () =
   let base =
     match t.ins with
     | None -> []
     | Some i -> (
-      (* under the server mutex: the event loop may be registering
-         per-client counters in the same registry concurrently *)
-      Mutex.lock t.mu;
-      let snap = Tel.Sink.snapshot i.sink in
-      Mutex.unlock t.mu;
-      match Tel.Metrics.to_json snap with
+      match Tel.Metrics.to_json (Tel.Sink.snapshot i.sink) with
       | Tel.Json.Obj kvs -> kvs
       | j -> [ ("metrics", j) ])
   in
@@ -1014,8 +712,6 @@ let stats_renderer t () =
         ]
        @ base))
 
-(* ----- span recording (admission thread) ------------------------------- *)
-
 let slow_line sr =
   Tel.Json.to_string
     (Tel.Json.Obj
@@ -1033,6 +729,20 @@ let slow_line sr =
                   sr.sr_stages) );
          ]))
 
+let trace_stages trace sr =
+  let span_detail =
+    (match sr.sr_span with Some s -> [ ("span", string_of_int s) ] | None -> [])
+    @ [ ("client", string_of_int sr.sr_cid) ]
+  in
+  ignore
+    (List.fold_left
+       (fun ts (name, d) ->
+         Tel.Trace.record trace ~ts ~dur:d
+           ~detail:(("stage", name) :: span_detail)
+           Tel.Trace.Stage;
+         ts +. d)
+       sr.sr_start sr.sr_stages)
+
 (* Ring-buffer the record, mirror it to the trace sink as one Stage
    slice per stage, and append the slow-op JSONL line when the total
    crosses the threshold.  Only called when instruments exist — with
@@ -1043,7 +753,6 @@ let record_span t i sr =
       let h =
         match name with
         | "decode" -> i.h_st_decode
-        | "queue" -> i.h_st_queue
         | "execute" -> i.h_st_execute
         | "wal" -> i.h_st_wal
         | "replicate" -> i.h_st_replicate
@@ -1051,28 +760,11 @@ let record_span t i sr =
       in
       Tel.Histogram.observe h d)
     sr.sr_stages;
-  Mutex.lock t.mu;
+  Tel.Histogram.observe i.h_latency sr.sr_total;
   Queue.add sr t.spans_ring;
   if Queue.length t.spans_ring > t.span_buffer then
     ignore (Queue.pop t.spans_ring);
-  Mutex.unlock t.mu;
-  (match i.sink.Tel.Sink.trace with
-  | None -> ()
-  | Some trace ->
-    let span_detail =
-      (match sr.sr_span with
-      | Some s -> [ ("span", string_of_int s) ]
-      | None -> [])
-      @ [ ("client", string_of_int sr.sr_cid) ]
-    in
-    let ts = ref sr.sr_start in
-    List.iter
-      (fun (name, d) ->
-        Tel.Trace.record trace ~ts:!ts ~dur:d
-          ~detail:(("stage", name) :: span_detail)
-          Tel.Trace.Stage;
-        ts := !ts +. d)
-      sr.sr_stages);
+  Option.iter (fun trace -> trace_stages trace sr) i.sink.Tel.Sink.trace;
   match t.slow_ms with
   | Some threshold when sr.sr_total *. 1000. >= threshold -> (
     Tel.Metrics.inc i.slow_requests;
@@ -1113,20 +805,17 @@ let committed_op req resp =
         Some (P.Op.Repair { connection; rehomed = false })
       | _ -> Some op))
 
-(* Promotion, on the admission thread: cut the replication link, take
-   a fresh epoch, start leading.  The store and network continue as
-   they are — the newest boundary-consistent state this follower
-   reached is exactly what it starts serving. *)
+(* Promotion: cut the replication link, take a fresh epoch, start
+   leading.  The store and network continue as they are — the newest
+   boundary-consistent state this follower reached is exactly what it
+   starts serving. *)
 let do_promote t =
   if t.role = Leader then Error "already the leader"
   else begin
-    Mutex.lock t.mu;
     t.role <- Leader;
     t.epoch <- fresh_epoch ();
-    let conn = t.repl_conn in
-    t.repl_conn <- None;
-    Mutex.unlock t.mu;
-    Option.iter shutdown_conn conn;
+    t.redial_at <- 0.;
+    Option.iter (close_conn t) t.upstream;
     Queue.clear t.ring;
     t.last_digest_seq <- t.rep_seq;
     (match t.follower_cfg with
@@ -1145,212 +834,132 @@ let execute_request t req =
     P.Resp.Not_leader { leader = leader_string t }
   | _ -> P.Resp.execute_backend ~stats:(stats_renderer t) t.backend req
 
-(* Commit one executed request: WAL append, then replication fan-out.
-   Batches unroll here, sub-op by sub-op, so the WAL and the stream
-   see exactly the records a sequential client would have produced. *)
-let commit t req resp =
-  if t.role = Leader then
-    match committed_op req resp with
-    | None -> ()
-    | Some op ->
-      Option.iter (fun s -> P.Store.log s op) t.store;
-      replicate t op
-
 let request_weight (req : P.Resp.request) =
   match req with P.Resp.Batch subs -> List.length subs | _ -> 1
 
-let handle_request t client req ~enqueued ~span ~decode =
+(* Execute, then commit — WAL append, replication fan-out — sub-op by
+   sub-op, so the WAL and the stream see exactly the records a
+   sequential client would have produced.  [commit] performs the two
+   commit steps, so the traced path can time them. *)
+let execute_all t req ~commit =
+  let run sub =
+    let r = execute_request t sub in
+    (if t.role = Leader then
+       match committed_op sub r with
+       | None -> ()
+       | Some op -> commit op);
+    r
+  in
+  match (req : P.Resp.request) with
+  | P.Resp.Batch subs -> P.Resp.Batch_reply (List.map run subs)
+  | _ -> run req
+
+let log_op t op = Option.iter (fun s -> P.Store.log s op) t.store
+
+(* Answer, and flush once the receive buffer holds no further complete
+   request: pipelined frames that arrived together share one writev. *)
+let respond t c resp =
+  send_response t c resp;
+  if Framebuf.length c.fb = 0 then conn_flush t c
+
+let handle_request t c req ~span ~t0 ~t_dec =
+  t.served_count <- t.served_count + request_weight req;
   match t.ins with
   | None ->
-    (* untimed path: no clock reads, no record — behaviourally the
-       pre-tracing server *)
-    let resp =
-      match (req : P.Resp.request) with
-      | P.Resp.Batch subs ->
-        P.Resp.Batch_reply
-          (List.map
-             (fun sub ->
-               let r = execute_request t sub in
-               commit t sub r;
-               r)
-             subs)
-      | _ ->
-        let r = execute_request t req in
-        commit t req r;
-        r
-    in
-    send_response t client resp;
-    t.served_count <- t.served_count + request_weight req
+    (* untimed path: no clock reads, no record *)
+    respond t c
+      (execute_all t req ~commit:(fun op ->
+           log_op t op;
+           replicate t op))
   | Some i ->
-    let t_start = now t in
-    (* a batch interleaves execute / wal / replicate per sub-op;
-       accumulate the commit slices so the stage histograms keep their
-       meaning whichever way the ops arrived *)
     let wal_acc = ref 0. and repl_acc = ref 0. in
-    let commit_timed sub r =
-      if t.role = Leader then
-        match committed_op sub r with
-        | None -> ()
-        | Some op ->
+    let resp =
+      execute_all t req ~commit:(fun op ->
           let t0 = now t in
-          Option.iter (fun s -> P.Store.log s op) t.store;
+          log_op t op;
           let t1 = now t in
           replicate t op;
           wal_acc := !wal_acc +. (t1 -. t0);
-          repl_acc := !repl_acc +. (now t -. t1)
-    in
-    let resp =
-      match (req : P.Resp.request) with
-      | P.Resp.Batch subs ->
-        P.Resp.Batch_reply
-          (List.map
-             (fun sub ->
-               let r = execute_request t sub in
-               commit_timed sub r;
-               r)
-             subs)
-      | _ ->
-        let r = execute_request t req in
-        commit_timed req r;
-        r
+          repl_acc := !repl_acc +. (now t -. t1))
     in
     let t_exec = now t in
-    send_response t client resp;
+    respond t c resp;
     let t_done = now t in
-    t.served_count <- t.served_count + request_weight req;
-    Tel.Histogram.observe i.h_latency (t_done -. enqueued);
-    let start = enqueued -. decode in
     record_span t i
       {
         sr_span = span;
-        sr_cid = client.cid;
-        sr_start = start;
-        sr_total = t_done -. start;
+        sr_cid = c.cid;
+        sr_start = t0;
+        sr_total = t_done -. t0;
         sr_stages =
           [
-            ("decode", decode);
-            ("queue", max 0. (t_start -. enqueued));
-            ("execute", max 0. (t_exec -. t_start -. !wal_acc -. !repl_acc));
+            ("decode", t_dec -. t0);
+            ("execute", max 0. (t_exec -. t_dec -. !wal_acc -. !repl_acc));
             ("wal", !wal_acc);
             ("replicate", !repl_acc);
             ("respond", t_done -. t_exec);
           ];
       }
 
-let admit_loop t =
+let malformed t c reason =
+  inc t (fun i -> i.malformed);
+  send_response t c (P.Resp.Server_error reason);
+  c.rd_eof <- true;
+  c.want_close <- true
+
+(* Run every complete frame buffered on a request connection to
+   completion: decode, execute, commit, respond. *)
+let request_frames t c =
   let continue = ref true in
-  while !continue do
-    match drain_batch t with
-    | None -> continue := false
-    | Some batch ->
-      (match t.ins with
-      | Some i ->
-        Tel.Metrics.inc i.batches;
-        Tel.Histogram.observe i.h_batch_size (float_of_int (List.length batch))
-      | None -> ());
-      List.iter
-        (fun item ->
-          match item with
-          | Gone client ->
-            (* an event connection closes through the loop so responses
-               already queued ahead of the EOF still go out; a detached
-               (replica-path) fd is ours to close directly *)
-            if client.kind = Cdetached then close_client t client
-            else mark_want_close t client
-          | Malformed { client; reason } ->
-            (match t.ins with
-            | Some i -> Tel.Metrics.inc i.malformed
-            | None -> ());
-            send_response t client (P.Resp.Server_error reason);
-            mark_want_close t client
-          | Request { client; req; enqueued; span; decode } ->
-            handle_request t client req ~enqueued ~span ~decode
-          | Attach { client; epoch; last_seq } ->
-            handle_attach t client ~epoch ~last_seq
-          | Repl_msg { conn; msg } -> handle_repl t conn msg
-          | Do_promote w ->
-            let result = do_promote t in
-            Mutex.lock t.mu;
-            w.result <- Some result;
-            Condition.broadcast w.pcond;
-            Mutex.unlock t.mu)
-        batch
+  while !continue && not (c.closed || c.want_close) do
+    match Framebuf.next_frame c.fb with
+    | Framebuf.Need _ -> continue := false
+    | Framebuf.Bad reason -> malformed t c reason
+    | Framebuf.Frame payload -> (
+      let t0 = now t in
+      let r = P.Wire.reader payload in
+      match
+        let req = P.Resp.decode_request r in
+        (* requests are self-delimiting, so the negotiated trailing
+           span id sits cleanly after the request proper *)
+        let span = if c.spans then Some (P.Wire.get_int r) else None in
+        P.Wire.expect_end r;
+        (req, span)
+      with
+      | req, span ->
+        let w = request_weight req in
+        Option.iter (fun cr -> Tel.Metrics.add cr w) c.c_requests;
+        (match t.ins with
+        | Some i -> Tel.Metrics.add i.requests w
+        | None -> ());
+        handle_request t c req ~span ~t0 ~t_dec:(now t)
+      | exception P.Wire.Decode_error { offset; reason } ->
+        malformed t c (Printf.sprintf "%s at payload offset %d" reason offset))
   done
-
-(* ----- follower hand-off ----------------------------------------------- *)
-
-(* A connection whose hello said 'F' leaves the event loop for a
-   dedicated thread: the replication stream wants blocking writes with
-   its own pacing (sender thread + bounded outbox), and there are only
-   ever a handful of replicas.  The loop cleared O_NONBLOCK before
-   spawning us; any bytes it read past the hello ride in [client.fb]. *)
-let follower_conn_loop t client =
-  match Protocol.write_all client.fd Protocol.server_hello_spans with
-  | exception (Unix.Unix_error _ | Sys_error _) -> close_client t client
-  | () -> (
-    (match t.follower_sndbuf with
-    | Some n -> (
-      try Unix.setsockopt_int client.fd Unix.SO_SNDBUF n
-      with Unix.Unix_error _ -> ())
-    | None -> ());
-    match Protocol.recv_frame_buffered client.fd client.fb with
-    | exception Unix.Unix_error _ -> close_client t client
-    | Protocol.Eof | Protocol.Bad _ -> close_client t client
-    | Protocol.Frame payload -> (
-      match P.Repl.to_leader_of_string payload with
-      | Ok (P.Repl.Subscribe { epoch; last_seq }) ->
-        push t (Attach { client; epoch; last_seq });
-        replica_reader_loop t client
-      | Ok (P.Repl.Ack _) | Error _ -> close_client t client))
-
-(* EMFILE/ENFILE (fd exhaustion), ECONNABORTED (peer gave up while
-   queued) and EINTR are conditions a server rides out, not reasons to
-   die; anything else is still survived with the same short sleep so a
-   persistent error cannot spin the loop hot. *)
-let accept_transient = function
-  | Unix.EMFILE | Unix.ENFILE | Unix.ECONNABORTED | Unix.EINTR -> true
-  | _ -> false
 
 (* ----- observability plane (HTTP 1.0) ---------------------------------- *)
 
 (* Leader: WAL recovery runs synchronously before [start] returns, so a
    leader that answers at all has recovered.  Follower: ready only once
-   the replication link is live, it has synced to some leader
+   the replication link is greeted, it has synced to some leader
    generation, and the apply lag is within [ready_lag]; [promote] flips
    the role and with it the answer. *)
 let ready t =
   match t.role with
   | Leader -> true
   | Follower ->
-    Mutex.lock t.mu;
-    let linked = t.repl_conn <> None && t.repl_epoch <> 0 in
-    Mutex.unlock t.mu;
-    linked && t.leader_seq - t.rep_seq <= t.ready_lag
+    let linked =
+      match t.upstream with
+      | Some { kind = Cupstream { greeted }; _ } -> greeted
+      | _ -> false
+    in
+    linked && t.repl_epoch <> 0 && t.leader_seq - t.rep_seq <= t.ready_lag
 
 (* The span ring rendered as a Chrome trace: each request is its
    contiguous stage slices, correlated by span id in [args]. *)
 let spans_chrome t =
-  Mutex.lock t.mu;
-  let records = List.of_seq (Queue.to_seq t.spans_ring) in
-  Mutex.unlock t.mu;
   let trace = Tel.Trace.create () in
-  List.iter
-    (fun sr ->
-      let span_detail =
-        (match sr.sr_span with
-        | Some s -> [ ("span", string_of_int s) ]
-        | None -> [])
-        @ [ ("client", string_of_int sr.sr_cid) ]
-      in
-      let ts = ref sr.sr_start in
-      List.iter
-        (fun (name, d) ->
-          Tel.Trace.record trace ~ts:!ts ~dur:d
-            ~detail:(("stage", name) :: span_detail)
-            Tel.Trace.Stage;
-          ts := !ts +. d)
-        sr.sr_stages)
-    records;
+  List.iter (trace_stages trace) (List.of_seq (Queue.to_seq t.spans_ring));
   Tel.Trace.to_chrome trace
 
 let http_route t path =
@@ -1370,194 +979,18 @@ let http_route t path =
     let body =
       match t.ins with
       | None -> ""
-      | Some i ->
-        Mutex.lock t.mu;
-        let snap = Tel.Sink.snapshot i.sink in
-        Mutex.unlock t.mu;
-        Tel.Metrics.to_prometheus snap
+      | Some i -> Tel.Metrics.to_prometheus (Tel.Sink.snapshot i.sink)
     in
     ("200 OK", "text/plain; version=0.0.4; charset=utf-8", body)
   | "/spans" -> ("200 OK", "application/json", spans_chrome t)
   | _ -> ("404 Not Found", "text/plain; charset=utf-8", "not found\n")
 
-(* ----- event loop ------------------------------------------------------ *)
-
-(* State the loop thread alone owns.  [conns] is keyed by fd; because
-   the kernel recycles fds, every deferred reference to a client is
-   validated by physical equality against this table before use. *)
-type loopstate = {
-  conns : (Unix.file_descr, client) Hashtbl.t;
-  scratch : Bytes.t;  (** shared read buffer; bytes move to [c.fb] *)
-  mutable reads_disabled : bool;  (** [stopping]: drain writes only *)
-  mutable last_sweep : float;
-}
-
-let drain_wake t =
-  let b = Bytes.create 64 in
-  let rec go () =
-    match Unix.read t.wake_r b 0 (Bytes.length b) with
-    | 0 -> ()
-    | _ -> go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  go ()
-
-let loop_close t ls c =
-  (match Hashtbl.find_opt ls.conns c.fd with
-  | Some c' when c' == c ->
-    Hashtbl.remove ls.conns c.fd;
-    Evloop.remove t.ev c.fd
-  | _ -> ());
-  close_client t c
-
-let owned_by_loop ls c =
-  match Hashtbl.find_opt ls.conns c.fd with
-  | Some c' -> c' == c
-  | None -> false
-
-(* Gather-write: bytes written, -1 EAGAIN, -2 EINTR, -3 dead peer.
-   The stub keeps the runtime lock (the iovec points into the heap),
-   which a nonblocking fd makes harmless. *)
-external writev_frames : Unix.file_descr -> string array -> int -> int
-  = "wdm_writev"
-
-(* How many queued frames one writev gathers; must not exceed the
-   stub's WDM_IOV_MAX. *)
-let max_iov = 64
-
-(* Write as much queued output as the kernel will take.  A batch of
-   queued frames is snapshotted under the lock and handed to writev
-   as an iovec — the syscall gathers what the old code achieved by
-   copying every pending response through a coalescing buffer.  Only
-   fully-written frames are popped, so a partial write (tiny
-   SO_SNDBUF) resumes from [out_off] of the front frame. *)
-let conn_flush t ls c =
-  let continue = ref (owned_by_loop ls c) in
-  while !continue do
-    Mutex.lock t.mu;
-    let kill = c.kill and wclose = c.want_close in
-    let nframes = min (Queue.length c.out_q) max_iov in
-    let batch = Array.make nframes "" in
-    let i = ref 0 in
-    (try
-       Queue.iter
-         (fun s ->
-           if !i >= nframes then raise Exit;
-           batch.(!i) <- s;
-           incr i)
-         c.out_q
-     with Exit -> ());
-    Mutex.unlock t.mu;
-    if kill then begin
-      loop_close t ls c;
-      continue := false
-    end
-    else if nframes = 0 then begin
-      if wclose then loop_close t ls c
-      else
-        Evloop.modify t.ev c.fd
-          ~read:((not c.rd_eof) && not ls.reads_disabled)
-          ~write:false;
-      continue := false
-    end
-    else begin
-      match writev_frames c.fd batch c.out_off with
-      | -2 (* EINTR *) -> ()
-      | -1 | 0 (* EAGAIN, or a kernel that took nothing *) ->
-        Evloop.modify t.ev c.fd
-          ~read:((not c.rd_eof) && not ls.reads_disabled)
-          ~write:true;
-        continue := false
-      | n when n < 0 ->
-        (* EPIPE/ECONNRESET: the peer is gone; pending output is moot *)
-        loop_close t ls c;
-        continue := false
-      | n ->
-        (* pop the frames the kernel swallowed whole; a partial tail
-           frame stays as the new head with its offset advanced *)
-        Mutex.lock t.mu;
-        c.out_bytes <- c.out_bytes - n;
-        let rem = ref n in
-        while !rem > 0 do
-          let head = Queue.peek c.out_q in
-          let avail = String.length head - c.out_off in
-          if !rem >= avail then begin
-            ignore (Queue.pop c.out_q);
-            c.out_off <- 0;
-            rem := !rem - avail
-          end
-          else begin
-            c.out_off <- c.out_off + !rem;
-            rem := 0
-          end
-        done;
-        Mutex.unlock t.mu
-    end
-  done
-
-(* Serve the connections other threads flagged since the last pass.
-   [in_dirty] is reset under the lock, so a flag raised during the
-   flush re-queues the connection rather than being lost. *)
-let refresh_dirty t ls =
-  Mutex.lock t.mu;
-  let dirty = t.dirty in
-  t.dirty <- [];
-  List.iter (fun c -> c.in_dirty <- false) dirty;
-  Mutex.unlock t.mu;
-  List.iter (fun c -> if owned_by_loop ls c then conn_flush t ls c) dirty
-
-(* Decode every complete frame buffered on a request connection and
-   queue the results for admission.  Mirrors the retired per-client
-   reader thread, minus the blocking. *)
-let process_frames t c =
-  let continue = ref true in
-  while !continue do
-    match Framebuf.next_frame c.fb with
-    | Framebuf.Need _ -> continue := false
-    | Framebuf.Bad reason ->
-      c.rd_eof <- true;
-      push_loop t (Malformed { client = c; reason });
-      continue := false
-    | Framebuf.Frame payload -> (
-      let t0 = now t in
-      let r = P.Wire.reader payload in
-      match
-        let req = P.Resp.decode_request r in
-        (* requests are self-delimiting, so the negotiated trailing
-           span id sits cleanly after the request proper *)
-        let span = if c.spans then Some (P.Wire.get_int r) else None in
-        P.Wire.expect_end r;
-        (req, span)
-      with
-      | req, span ->
-        let w = request_weight req in
-        Option.iter (fun cr -> Tel.Metrics.add cr w) c.c_requests;
-        (match t.ins with
-        | Some i -> Tel.Metrics.add i.requests w
-        | None -> ());
-        let enqueued = now t in
-        push_loop t
-          (Request { client = c; req; enqueued; span; decode = enqueued -. t0 })
-      | exception P.Wire.Decode_error { offset; reason } ->
-        c.rd_eof <- true;
-        push_loop t
-          (Malformed
-             {
-               client = c;
-               reason = Printf.sprintf "%s at payload offset %d" reason offset;
-             });
-        continue := false)
-  done
-
 (* Answer an observability request with whatever head has arrived —
    the request line is all we parse — and close once it drains.
    HTTP/1.0, Connection: close: a scraper per connection. *)
-let http_answer t ls c =
-  let request = Framebuf.contents c.fb in
+let http_answer t c =
   let status, ctype, body =
-    match String.split_on_char ' ' request with
+    match String.split_on_char ' ' (Framebuf.contents c.fb) with
     | "GET" :: path :: _ ->
       (* strip any query string: /readyz?verbose -> /readyz *)
       let path =
@@ -1571,22 +1004,20 @@ let http_answer t ls c =
         "text/plain; charset=utf-8",
         "only GET is served here\n" )
   in
-  let response =
-    Printf.sprintf
-      "HTTP/1.0 %s\r\n\
-       Content-Type: %s\r\n\
-       Content-Length: %d\r\n\
-       Connection: close\r\n\
-       \r\n\
-       %s"
-      status ctype (String.length body) body
-  in
+  ignore
+    (enqueue_out c
+       (Printf.sprintf
+          "HTTP/1.0 %s\r\n\
+           Content-Type: %s\r\n\
+           Content-Length: %d\r\n\
+           Connection: close\r\n\
+           \r\n\
+           %s"
+          status ctype (String.length body) body));
   c.rd_eof <- true;
+  c.want_close <- true;
   c.deadline <- 0.;
-  (* order matters: [enqueue_out] refuses bytes once [want_close] is up *)
-  ignore (enqueue_out t c response);
-  mark_want_close t c;
-  conn_flush t ls c
+  conn_flush t c
 
 let http_head_done c =
   Framebuf.length c.fb >= 4096
@@ -1599,20 +1030,12 @@ let http_head_done c =
   in
   has "\r\n\r\n" || has "\n\n"
 
-(* A follower leaves the loop for a dedicated blocking thread (see
-   [follower_conn_loop]); bytes already buffered ride along in [fb]. *)
-let detach_follower t ls c =
-  Hashtbl.remove ls.conns c.fd;
-  Evloop.remove t.ev c.fd;
-  c.kind <- Cdetached;
-  (try Unix.clear_nonblock c.fd with Unix.Unix_error _ -> ());
-  ignore (Thread.create (fun () -> follower_conn_loop t c) ())
+(* ----- event loop ------------------------------------------------------ *)
 
 (* Route freshly buffered bytes according to what the connection turned
    out to be.  Runs after every successful read. *)
-let rec conn_dispatch t ls c =
+let rec conn_dispatch t c =
   match c.kind with
-  | Cdetached -> ()
   | Chello ->
     if Framebuf.length c.fb >= P.Wire.header_len then begin
       let hello = Framebuf.take c.fb P.Wire.header_len in
@@ -1621,77 +1044,82 @@ let rec conn_dispatch t ls c =
         c.spans <- Protocol.hello_has_spans hello;
         (match t.ins with
         | Some i ->
-          Mutex.lock t.mu;
-          if c.open_ then begin
-            c.c_requests <-
-              Some
-                (Tel.Metrics.counter i.sink.Tel.Sink.metrics
-                   ~help:"Requests received from this client"
-                   (Printf.sprintf
-                      "server_client_requests_total{client=\"%d\"}" c.cid));
-            Tel.Metrics.inc i.clients_total
-          end;
-          Mutex.unlock t.mu
+          c.c_requests <-
+            Some
+              (Tel.Metrics.counter i.sink.Tel.Sink.metrics
+                 ~help:"Requests received from this client"
+                 (Printf.sprintf "server_client_requests_total{client=\"%d\"}"
+                    c.cid));
+          Tel.Metrics.inc i.clients_total
         | None -> ());
         (* always advertise the span capability; a pre-flags client
            reads the flag byte as the reserved padding it has always
            ignored *)
-        ignore (enqueue_out t c Protocol.server_hello_spans);
-        conn_dispatch t ls c
+        ignore (enqueue_out c Protocol.server_hello_spans);
+        conn_dispatch t c
       end
-      else if Protocol.check_follower_hello hello = Ok () then
-        detach_follower t ls c
-      else loop_close t ls c
+      else if Protocol.check_follower_hello hello = Ok () then begin
+        (* a replica is not a request-plane client *)
+        t.n_clients <- t.n_clients - 1;
+        set_clients_gauge t;
+        c.kind <- Creplica { subscribed = false; pending_digests = [] };
+        ignore (enqueue_out c Protocol.server_hello_spans);
+        conn_dispatch t c
+      end
+      else close_conn t c
     end
-  | Creq -> process_frames t c
-  | Chttp -> if http_head_done c then http_answer t ls c
+  | Creq -> request_frames t c
+  | Chttp -> if http_head_done c then http_answer t c
+  | Creplica r -> replica_frames t c r
+  | Cupstream g -> upstream_frames t c g
+  | Cdial -> ()
 
-(* Drain readable bytes into the connection's buffer, a bounded number
-   of chunks per readiness event so one firehose client cannot starve
-   the rest (level-triggered backends re-report the remainder), and
-   never past the admission queue's capacity. *)
-let conn_readable t ls c =
+let on_eof t c =
+  match c.kind with
+  | Chttp -> http_answer t c
+  | Creq ->
+    (* half a frame followed by EOF is protocol damage, not a clean
+       goodbye; either way responses already queued still go out *)
+    if Framebuf.length c.fb > 0 then malformed t c "peer closed mid-frame"
+    else c.want_close <- true
+  | Chello | Creplica _ | Cdial | Cupstream _ -> close_conn t c
+
+(* Drain readable bytes into the connection's buffer and run what they
+   complete, a bounded number of chunks per readiness event so one
+   firehose client cannot starve the rest (level-triggered backends
+   re-report the remainder); then flush whatever the pass produced. *)
+let conn_readable t c =
   let rounds = ref 0 in
-  let continue = ref true in
-  while !continue && not c.rd_eof do
-    if !rounds >= 4 || queue_depth t >= t.capacity then continue := false
-    else begin
-      incr rounds;
-      match Unix.read c.fd ls.scratch 0 (Bytes.length ls.scratch) with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        continue := false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error _ ->
-        loop_close t ls c;
-        continue := false
-      | 0 ->
-        c.rd_eof <- true;
-        continue := false;
-        (match c.kind with
-        | Chello -> loop_close t ls c
-        | Chttp -> http_answer t ls c
-        | Creq ->
-          (* half a frame followed by EOF is protocol damage, not a
-             clean goodbye; either way the close is ordered through
-             the admission queue so queued responses still go out *)
-          if Framebuf.length c.fb > 0 then
-            push_loop t
-              (Malformed { client = c; reason = "peer closed mid-frame" })
-          else push_loop t (Gone c)
-        | Cdetached -> ())
-      | n ->
-        Framebuf.add_subbytes c.fb ls.scratch ~off:0 ~len:n;
-        conn_dispatch t ls c;
-        if not (owned_by_loop ls c) then continue := false
-    end
+  while !rounds < 4 && not (c.rd_eof || c.closed) do
+    incr rounds;
+    match Unix.read c.fd t.scratch 0 (Bytes.length t.scratch) with
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      rounds := max_int
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception Unix.Unix_error _ -> close_conn t c
+    | 0 ->
+      c.rd_eof <- true;
+      on_eof t c
+    | n ->
+      Framebuf.add_subbytes c.fb t.scratch ~off:0 ~len:n;
+      conn_dispatch t c
   done;
-  (* a connection we stopped reading keeps only its write interest *)
-  if owned_by_loop ls c && c.rd_eof then
-    match Evloop.interest t.ev c.fd with
-    | Some (true, w) -> Evloop.modify t.ev c.fd ~read:false ~write:w
-    | _ -> ()
+  conn_flush t c
 
-let accept_ready t ls lfd ~http =
+(* EMFILE/ENFILE (fd exhaustion), ECONNABORTED (peer gave up while
+   queued) and EINTR are conditions a server rides out; anything else
+   is survived too, with a longer pause, so a persistent error cannot
+   spin the loop hot. *)
+let accept_transient = function
+  | Unix.EMFILE | Unix.ENFILE | Unix.ECONNABORTED | Unix.EINTR -> true
+  | _ -> false
+
+let listeners t = t.listen_fd :: Option.to_list t.http_fd
+
+let set_listening t on =
+  List.iter (fun fd -> Evloop.modify t.ev fd ~read:on ~write:false) (listeners t)
+
+let accept_ready t lfd ~http =
   let continue = ref true in
   while !continue do
     match Unix.accept lfd with
@@ -1699,221 +1127,197 @@ let accept_ready t ls lfd ~http =
       continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error (err, _, _) ->
-      if not t.stopping then begin
-        (match t.ins with
-        | Some i -> Tel.Metrics.inc i.accept_errors
-        | None -> ());
-        Thread.delay (if accept_transient err then 0.05 else 0.25)
-      end;
+      (* stop listening until the timer restores it: every connection
+         already open keeps being served meanwhile *)
+      inc t (fun i -> i.accept_errors);
+      set_listening t false;
+      t.accept_resume_at <-
+        (Unix.gettimeofday () +. if accept_transient err then 0.05 else 0.25);
       continue := false
     | fd, _peer ->
-      if t.stopping then begin
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        continue := false
+      let over =
+        (* the gate protects the request plane; scrapes stay
+           answerable even at the connection cap *)
+        (not http)
+        && match t.max_conns with
+           | Some m -> Hashtbl.length t.conns >= m
+           | None -> false
+      in
+      if over then begin
+        inc t (fun i -> i.accept_errors);
+        try Unix.close fd with Unix.Unix_error _ -> ()
       end
       else begin
-        let over =
-          (* the gate protects the request plane; scrapes stay
-             answerable even at the connection cap *)
-          (not http)
-          &&
-          match t.max_conns with
-          | Some m -> Hashtbl.length ls.conns >= m
-          | None -> false
-        in
-        if over then begin
-          (match t.ins with
-          | Some i -> Tel.Metrics.inc i.accept_errors
-          | None -> ());
-          try Unix.close fd with Unix.Unix_error _ -> ()
-        end
+        Unix.set_nonblock fd;
+        (* raises on unix sockets; harmless to skip there *)
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true
+         with Unix.Unix_error _ -> ());
+        (match t.conn_sndbuf with
+        | Some n when not http -> (
+          try Unix.setsockopt_int fd Unix.SO_SNDBUF n
+          with Unix.Unix_error _ -> ())
+        | _ -> ());
+        let c = register t fd (if http then Chttp else Chello) in
+        if http then c.deadline <- Unix.gettimeofday () +. 5.0
         else begin
-          Unix.set_nonblock fd;
-          (* raises on unix sockets; harmless to skip there *)
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ -> ());
-          (match t.conn_sndbuf with
-          | Some n when not http -> (
-            try Unix.setsockopt_int fd Unix.SO_SNDBUF n
-            with Unix.Unix_error _ -> ())
-          | _ -> ());
-          Mutex.lock t.mu;
-          let cid = t.next_cid in
-          t.next_cid <- cid + 1;
-          let c =
-            {
-              cid;
-              fd;
-              open_ = true;
-              spans = false;
-              c_requests = None;
-              kind = (if http then Chttp else Chello);
-              fb = Framebuf.create ();
-              out_q = Queue.create ();
-              out_off = 0;
-              out_bytes = 0;
-              want_close = false;
-              kill = false;
-              rd_eof = false;
-              in_dirty = false;
-              deadline = 0.;
-            }
-          in
-          if not http then begin
-            t.clients <- c :: t.clients;
-            match t.ins with
-            | Some i ->
-              Tel.Metrics.set i.g_clients_active
-                (float_of_int (List.length t.clients))
-            | None -> ()
-          end;
-          Mutex.unlock t.mu;
-          if http then c.deadline <- Unix.gettimeofday () +. 5.0;
-          Hashtbl.replace ls.conns fd c;
-          Evloop.add t.ev fd ~read:(not ls.reads_disabled) ~write:false
-        end
+          t.n_clients <- t.n_clients + 1;
+          set_clients_gauge t
+        end;
+        Evloop.add t.ev fd ~read:true ~write:false
       end
   done
 
-(* An HTTP peer that never finishes its head gets answered with what
-   arrived once its deadline passes — the event-loop translation of
-   the old per-connection SO_RCVTIMEO. *)
-let sweep t ls nw =
-  if nw -. ls.last_sweep >= 1.0 then begin
-    ls.last_sweep <- nw;
-    let expired =
-      Hashtbl.fold
-        (fun _ c acc ->
-          if c.kind = Chttp && c.deadline > 0. && nw > c.deadline then c :: acc
-          else acc)
-        ls.conns []
-    in
-    List.iter (fun c -> http_answer t ls c) expired
-  end
-
-let handle_event t ls (fd, rd, wr) =
-  if fd = t.wake_r then begin
-    if rd then drain_wake t
-  end
-  else if fd = t.listen_fd then begin
-    if rd && not ls.reads_disabled then accept_ready t ls fd ~http:false
-  end
-  else if match t.http_fd with Some h -> fd = h | None -> false then begin
-    if rd && not ls.reads_disabled then accept_ready t ls fd ~http:true
-  end
-  else
-    match Hashtbl.find_opt ls.conns fd with
-    | None -> ()
-    | Some c ->
-      if wr then conn_flush t ls c;
-      if rd && owned_by_loop ls c then conn_readable t ls c
-
-let loop_run t =
-  let ls =
-    {
-      conns = Hashtbl.create 64;
-      scratch = Bytes.create 65536;
-      reads_disabled = false;
-      last_sweep = 0.;
-    }
+let drain_wake t =
+  let b = Bytes.create 64 in
+  let rec go () =
+    match Unix.read t.wake_r b 0 (Bytes.length b) with
+    | 0 -> ()
+    | _ -> go ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error _ -> ()
   in
-  Unix.set_nonblock t.listen_fd;
+  go ()
+
+let handle_event t (fd, rd, wr) =
+  if fd = t.wake_r then drain_wake t
+  else if fd = t.listen_fd then (if rd then accept_ready t fd ~http:false)
+  else if Some fd = t.http_fd then (if rd then accept_ready t fd ~http:true)
+  else
+    match Hashtbl.find_opt t.conns fd with
+    | None -> ()
+    | Some ({ kind = Cdial; _ } as c) -> finish_dial t c
+    | Some c ->
+      if wr then conn_flush t c;
+      if rd && not c.closed then conn_readable t c
+
+(* Stop: no new connections, no new requests; queue a Goodbye to every
+   replica, then flush until everything drains or the grace deadline
+   passes.  Every request already decoded has been answered. *)
+let begin_drain t =
+  t.stopping <- true;
+  t.drain_deadline <- Unix.gettimeofday () +. 5.0;
+  set_listening t false;
+  t.redial_at <- 0.;
+  Option.iter (close_conn t) t.upstream;
+  let goodbye = frame_to_follower (P.Repl.Goodbye { reason = "shutdown" }) in
+  List.iter
+    (fun c ->
+      ignore (enqueue_out c goodbye);
+      c.want_close <- true)
+    t.replicas;
+  Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
+  |> List.iter (fun c ->
+         c.rd_eof <- true;
+         conn_flush t c)
+
+(* The promote/stop mailbox, read once per pass. *)
+let take_mail t =
+  Mutex.lock t.mbox_mu;
+  let stop = t.mb_stop and promotes = t.mb_promotes in
+  t.mb_promotes <- [];
+  Mutex.unlock t.mbox_mu;
+  if promotes <> [] then begin
+    let results = List.map (fun cell -> (cell, do_promote t)) promotes in
+    Mutex.lock t.mbox_mu;
+    List.iter (fun (cell, r) -> cell := Some r) results;
+    Mutex.unlock t.mbox_mu
+  end;
+  if stop && not t.stopping then begin_drain t
+
+let timeout_ms t nw =
+  let next =
+    List.fold_left
+      (fun acc at -> if at > 0. then min acc at else acc)
+      (nw +. if t.stopping then 0.01 else 0.1)
+      [ t.redial_at; t.accept_resume_at ]
+  in
+  max 0 (int_of_float (Float.ceil ((next -. nw) *. 1000.)))
+
+(* Timers: the redial, the listener pause, and the HTTP head deadline —
+   an HTTP peer that never finishes its head gets answered with what
+   arrived once its deadline passes. *)
+let run_timers t nw =
+  (match t.follower_cfg with
+  | Some cfg when t.redial_at > 0. && nw >= t.redial_at -> dial t cfg.leader
+  | _ -> ());
+  if t.accept_resume_at > 0. && nw >= t.accept_resume_at then begin
+    t.accept_resume_at <- 0.;
+    if not t.stopping then set_listening t true
+  end;
+  if nw -. t.last_sweep >= 1.0 then begin
+    t.last_sweep <- nw;
+    Hashtbl.fold
+      (fun _ c acc ->
+        if c.kind = Chttp && c.deadline > 0. && nw > c.deadline then c :: acc
+        else acc)
+      t.conns []
+    |> List.iter (http_answer t)
+  end
+
+(* The loop exits once the drain phase has flushed everything or run
+   out of grace; whatever way it exits, the mailbox is closed so a
+   pending [promote] is answered instead of waiting forever. *)
+let loop_run t =
+  let close_mailbox () =
+    Evloop.close t.ev;
+    Mutex.lock t.mbox_mu;
+    t.mb_closed <- true;
+    List.iter
+      (fun cell -> cell := Some (Error "server is stopped"))
+      t.mb_promotes;
+    t.mb_promotes <- [];
+    Mutex.unlock t.mbox_mu
+  in
+  Fun.protect ~finally:close_mailbox @@ fun () ->
   Evloop.add t.ev t.wake_r ~read:true ~write:false;
-  Evloop.add t.ev t.listen_fd ~read:true ~write:false;
-  (match t.http_fd with
-  | Some h ->
-    Unix.set_nonblock h;
-    Evloop.add t.ev h ~read:true ~write:false
-  | None -> ());
+  List.iter
+    (fun fd ->
+      Unix.set_nonblock fd;
+      Evloop.add t.ev fd ~read:true ~write:false)
+    (listeners t);
+  Option.iter (fun cfg -> dial t cfg.leader) t.follower_cfg;
   let finished = ref false in
   while not !finished do
-    Mutex.lock t.mu;
-    let stopping = t.stopping in
-    let finishing = t.loop_finish in
-    let paused = (not stopping) && Queue.length t.queue >= t.capacity in
-    t.read_paused <- paused;
-    Mutex.unlock t.mu;
-    if stopping && not ls.reads_disabled then begin
-      (* no new connections, no new requests; what remains is flushing
-         responses for everything already admitted *)
-      ls.reads_disabled <- true;
-      Evloop.modify t.ev t.listen_fd ~read:false ~write:false;
-      (match t.http_fd with
-      | Some h -> Evloop.modify t.ev h ~read:false ~write:false
-      | None -> ());
-      Hashtbl.iter
-        (fun fd c ->
-          c.rd_eof <- true;
-          match Evloop.interest t.ev fd with
-          | Some (true, w) -> Evloop.modify t.ev fd ~read:false ~write:w
-          | _ -> ())
-        ls.conns
-    end;
-    refresh_dirty t ls;
-    if paused then begin
-      (* admission backpressure: sockets stay unread (their bytes sit
-         in the kernel, which is the peer's backpressure), but response
-         flushing must go on or the queue could never drain *)
-      (try ignore (Unix.select [ t.wake_r ] [] [] 0.05)
-       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      drain_wake t
-    end
-    else begin
-      let timeout_ms = if finishing then 10 else 100 in
-      let events = Evloop.wait t.ev ~timeout_ms in
-      List.iter (fun ev -> handle_event t ls ev) events
-    end;
+    Evloop.wait t.ev ~timeout_ms:(timeout_ms t (Unix.gettimeofday ()))
+    |> List.iter (handle_event t);
+    (* ops committed this pass reach the replicas in one write each *)
+    List.iter (fun c -> if c.out_bytes > 0 then conn_flush t c) t.replicas;
+    take_mail t;
     let nw = Unix.gettimeofday () in
-    sweep t ls nw;
-    if finishing then begin
+    run_timers t nw;
+    if t.stopping then begin
       let drained =
-        Hashtbl.fold (fun _ c acc -> acc && c.out_bytes = 0) ls.conns true
+        Hashtbl.fold (fun _ c acc -> acc && c.out_bytes = 0) t.conns true
       in
-      if drained || nw > t.finish_deadline then begin
-        let cs = Hashtbl.fold (fun _ c acc -> c :: acc) ls.conns [] in
-        List.iter (fun c -> loop_close t ls c) cs;
+      if drained || nw > t.drain_deadline then begin
+        Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
+        |> List.iter (close_conn t);
         finished := true
       end
     end
-  done;
-  Evloop.close t.ev
+  done
 
 (* ----- lifecycle ------------------------------------------------------- *)
 
 let bind_listen addr =
-  match addr with
-  | Tcp (host, port) ->
-    let inet =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (inet, port));
-    Unix.listen fd 512;
-    let bound =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (a, p) -> Tcp (Unix.string_of_inet_addr a, p)
-      | Unix.ADDR_UNIX _ -> addr
-    in
-    (fd, bound)
-  | Unix_socket path ->
-    if Sys.file_exists path then Unix.unlink path;
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 512;
-    (fd, addr)
+  let domain, sockaddr = sockaddr_of_address addr in
+  (match addr with
+  | Unix_socket path -> if Sys.file_exists path then Unix.unlink path
+  | Tcp _ -> ());
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  Unix.bind fd sockaddr;
+  Unix.listen fd 512;
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (a, p) -> (fd, Tcp (Unix.string_of_inet_addr a, p))
+  | Unix.ADDR_UNIX _ -> (fd, addr)
 
-let start_backend ?telemetry ?store ?(queue_capacity = 256) ?(batch_limit = 64)
-    ?(digest_every = 64) ?(resume_window = 1024) ?(outbox_capacity = 1024)
-    ?follower_sndbuf ?follower ?http ?(ready_lag = 64) ?slow_ms ?slow_log
-    ?(span_buffer = 1024) ?max_conns ?conn_sndbuf ~backend addr =
-  if queue_capacity < 1 then
-    invalid_arg "Server.start: queue_capacity must be >= 1";
+let start_backend ?telemetry ?store ?(digest_every = 64) ?(resume_window = 1024)
+    ?(outbox_capacity = 1024) ?follower ?http ?(ready_lag = 64) ?slow_ms
+    ?slow_log ?(span_buffer = 1024) ?max_conns ?conn_sndbuf ~backend addr =
   (match max_conns with
   | Some m when m < 1 -> invalid_arg "Server.start: max_conns must be >= 1"
   | _ -> ());
-  if batch_limit < 1 then invalid_arg "Server.start: batch_limit must be >= 1";
   if digest_every < 1 then invalid_arg "Server.start: digest_every must be >= 1";
   if resume_window < 1 then
     invalid_arg "Server.start: resume_window must be >= 1";
@@ -1979,28 +1383,27 @@ let start_backend ?telemetry ?store ?(queue_capacity = 256) ?(batch_limit = 64)
       tel = telemetry;
       listen_fd;
       bound;
-      queue = Queue.create ();
-      capacity = queue_capacity;
-      batch_limit;
-      mu = Mutex.create ();
-      not_empty = Condition.create ();
-      not_full = Condition.create ();
-      stopping = false;
-      stopped = false;
-      next_cid = 1;
-      clients = [];
-      served_count = 0;
-      loop_thread = None;
-      admit_thread = None;
+      http_fd;
+      http_bound;
       ev = Evloop.create ();
-      wake_r;
-      wake_w;
-      dirty = [];
-      read_paused = false;
-      loop_finish = false;
-      finish_deadline = 0.;
+      conns = Hashtbl.create 64;
+      scratch = Bytes.create 65536;
+      next_cid = 1;
+      n_clients = 0;
+      served_count = 0;
+      stopping = false;
+      drain_deadline = 0.;
+      accept_resume_at = 0.;
+      last_sweep = 0.;
       max_conns;
       conn_sndbuf;
+      mbox_mu = Mutex.create ();
+      wake_r;
+      wake_w;
+      mb_stop = false;
+      mb_promotes = [];
+      mb_closed = false;
+      loop_thread = None;
       role = (match follower with Some _ -> Follower | None -> Leader);
       epoch = fresh_epoch ();
       rep_seq = max 0 rep_seq;
@@ -2008,14 +1411,15 @@ let start_backend ?telemetry ?store ?(queue_capacity = 256) ?(batch_limit = 64)
       resume_window;
       digest_every;
       outbox_capacity;
-      follower_sndbuf;
       last_digest_seq = max 0 rep_seq;
       replicas = [];
       follower_cfg = follower;
       repl_epoch;
-      repl_conn = None;
+      upstream = None;
       force_snapshot = rep_seq < 0;
-      repl_thread = None;
+      redial_at = 0.;
+      backoff = 0.05;
+      had_link = false;
       leader_seq = max 0 rep_seq;
       span_buffer;
       spans_ring = Queue.create ();
@@ -2023,25 +1427,17 @@ let start_backend ?telemetry ?store ?(queue_capacity = 256) ?(batch_limit = 64)
       slow_out;
       slow_owned;
       ready_lag;
-      http_fd;
-      http_bound;
     }
   in
-  t.loop_thread <- Some (Thread.create (fun () -> loop_run t) ());
-  t.admit_thread <- Some (Thread.create (fun () -> admit_loop t) ());
-  (match follower with
-  | Some cfg -> t.repl_thread <- Some (Thread.create (fun () -> repl_loop t cfg) ())
-  | None -> ());
+  t.loop_thread <- Some (Thread.create loop_run t);
   t
 
-let start ?telemetry ?store ?queue_capacity ?batch_limit ?digest_every
-    ?resume_window ?outbox_capacity ?follower_sndbuf ?follower ?http
-    ?ready_lag ?slow_ms ?slow_log ?span_buffer ?max_conns ?conn_sndbuf ~net
-    addr =
-  start_backend ?telemetry ?store ?queue_capacity ?batch_limit ?digest_every
-    ?resume_window ?outbox_capacity ?follower_sndbuf ?follower ?http
-    ?ready_lag ?slow_ms ?slow_log ?span_buffer ?max_conns ?conn_sndbuf
-    ~backend:(P.Backend.Net net) addr
+let start ?telemetry ?store ?digest_every ?resume_window ?outbox_capacity
+    ?follower ?http ?ready_lag ?slow_ms ?slow_log ?span_buffer ?max_conns
+    ?conn_sndbuf ~net addr =
+  start_backend ?telemetry ?store ?digest_every ?resume_window
+    ?outbox_capacity ?follower ?http ?ready_lag ?slow_ms ?slow_log
+    ?span_buffer ?max_conns ?conn_sndbuf ~backend:(P.Backend.Net net) addr
 
 let address t = t.bound
 let http_address t = t.http_bound
@@ -2057,119 +1453,54 @@ let network t =
 let current_store t = t.store
 
 let spans t =
-  Mutex.lock t.mu;
-  let records = List.of_seq (Queue.to_seq t.spans_ring) in
-  Mutex.unlock t.mu;
   List.map
     (fun sr -> (sr.sr_span, sr.sr_cid, sr.sr_start, sr.sr_total, sr.sr_stages))
-    records
+    (List.of_seq (Queue.to_seq t.spans_ring))
+
+(* Poke the loop's wake pipe.  Non-blocking: a full pipe means the loop
+   has wakeups queued already, which is all a wake can ask for. *)
+let wake t =
+  try ignore (Unix.write_substring t.wake_w "!" 0 1) with Unix.Unix_error _ -> ()
 
 let promote t =
-  if t.stopped then Error "server is stopped"
+  let cell = ref None in
+  Mutex.lock t.mbox_mu;
+  let posted = not (t.mb_stop || t.mb_closed) in
+  if posted then t.mb_promotes <- cell :: t.mb_promotes;
+  Mutex.unlock t.mbox_mu;
+  if not posted then Error "server is stopped"
   else begin
-    let w = { result = None; pcond = Condition.create () } in
-    push t (Do_promote w);
-    Mutex.lock t.mu;
-    while w.result = None do
-      Condition.wait w.pcond t.mu
-    done;
-    Mutex.unlock t.mu;
-    Option.get w.result
+    wake t;
+    let rec await () =
+      Mutex.lock t.mbox_mu;
+      let r = !cell in
+      Mutex.unlock t.mbox_mu;
+      match r with
+      | Some r -> r
+      | None ->
+        Thread.delay 0.001;
+        await ()
+    in
+    await ()
   end
 
 let stop t =
-  if not t.stopped then begin
-    t.stopped <- true;
-    Mutex.lock t.mu;
-    t.stopping <- true;
-    Condition.broadcast t.not_empty;
-    Condition.broadcast t.not_full;
-    Mutex.unlock t.mu;
-    (* the loop wakes through its pipe, sees [stopping], and stops
-       accepting and reading on its own — no dial-a-throwaway-
-       connection trick needed any more *)
-    wake t;
-    (* SHUTDOWN_RECEIVE (not ALL) on every connection: a detached
-       (replica-path) reader blocked in recv wakes on EOF and enqueues
-       its final [Gone] (the capacity bound is waived while stopping),
-       and the write sides stay open so every request already executed
-       still gets its response — an answered request is one the client
-       will not retry against the next leader.  For loop-owned
-       connections this merely accelerates EOF detection. *)
-    Mutex.lock t.mu;
-    let live = t.clients in
-    Mutex.unlock t.mu;
-    List.iter
-      (fun c ->
-        try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ())
-      live;
-    (* Unblock the replication client if this node follows a leader. *)
-    Mutex.lock t.mu;
-    let conn = t.repl_conn in
-    Mutex.unlock t.mu;
-    Option.iter shutdown_conn conn;
-    Option.iter Thread.join t.admit_thread;
-    Option.iter Thread.join t.repl_thread;
-    (* The admission thread is done, so the outboxes are final: let
-       each replica's sender drain what is queued (a live follower
-       takes milliseconds; a stuck one is cut off after the grace
-       period), then tear the connections down. *)
-    Mutex.lock t.mu;
-    let reps = t.replicas in
-    let goodbye = frame_to_follower (P.Repl.Goodbye { reason = "shutdown" }) in
-    List.iter
-      (fun f ->
-        if f.client.open_ then begin
-          Queue.add goodbye f.outbox;
-          f.closing <- true;
-          Condition.broadcast f.fcond
-        end)
-      reps;
-    Mutex.unlock t.mu;
-    let deadline = 500 (* x 10ms = 5s *) in
-    let rec wait_drained n =
-      if n < deadline then begin
-        Mutex.lock t.mu;
-        let drained =
-          List.for_all
-            (fun f -> Queue.is_empty f.outbox || not f.client.open_)
-            reps
-        in
-        Mutex.unlock t.mu;
-        if not drained then begin
-          Thread.delay 0.01;
-          wait_drained (n + 1)
-        end
-      end
-    in
-    wait_drained 0;
-    List.iter (fun f -> drop_replica t f) reps;
-    List.iter (fun f -> Option.iter Thread.join f.sender) reps;
-    (* Every response is enqueued by now: tell the loop to flush what
-       remains, close its connections and exit, bounded by a grace
-       deadline so one unreadable peer cannot hold shutdown hostage. *)
-    t.finish_deadline <- Unix.gettimeofday () +. 5.0;
-    t.loop_finish <- true;
+  Mutex.lock t.mbox_mu;
+  let first = not t.mb_stop in
+  t.mb_stop <- true;
+  Mutex.unlock t.mbox_mu;
+  if first then begin
     wake t;
     Option.iter Thread.join t.loop_thread;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (match t.bound with
-    | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Tcp _ -> ());
-    (match t.http_fd with
-    | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-    | None -> ());
-    (match t.http_bound with
-    | Some (Unix_socket path) -> (
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-    | _ -> ());
-    (* stragglers: detached connections whose threads have not closed
-       them yet; [close_client] is a no-op on anything already closed *)
-    Mutex.lock t.mu;
-    let leftover = t.clients in
-    Mutex.unlock t.mu;
-    List.iter (fun c -> close_client t c) leftover;
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (listeners t);
+    List.iter
+      (function
+        | Some (Unix_socket path) -> (
+          try Unix.unlink path with Unix.Unix_error _ -> ())
+        | _ -> ())
+      [ Some t.bound; t.http_bound ];
     (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
     (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
     match t.slow_out with

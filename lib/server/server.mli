@@ -2,25 +2,26 @@
     behind a TCP or Unix-domain socket, optionally replicated to
     follower nodes.
 
-    Concurrency model — event loop in front, single-writer admission
-    behind (DESIGN.md §12): one loop thread owns every socket.  It
-    accepts, reads readiness-notified connections into per-connection
-    buffers ({!Framebuf}), decodes complete frames and enqueues
-    requests on a bounded queue; one admission thread drains the queue
-    in batches (up to [batch_limit] at a time) and is the only thread
-    that executes requests or touches the network and the WAL store.
-    Responses travel back through per-connection output queues the
-    loop flushes — consecutive responses coalesce into single writes,
-    which is what makes pipelined ({!Wdm_persist.Resp.request.Batch})
-    clients fast.  The network needs no locks, every client observes
-    its own requests in order, and when the queue is full the loop
-    stops reading sockets — TCP flow control propagates the
-    backpressure to the clients.  Connection count is bounded by
-    [max_conns] (accept-time gate), not by a thread per client: idle
-    connections cost one buffer each, no stack, so thousands can sit
-    idle ({!Evloop} uses [epoll] on Linux, [select] elsewhere).
-    Replica subscriptions are the exception: each detaches from the
-    loop onto a dedicated blocking thread pair, as before.
+    Concurrency model — one event loop, run to completion (DESIGN.md
+    §12): a single loop thread owns every socket, the network, the WAL
+    store and the replication state.  It accepts, reads
+    readiness-notified connections into per-connection buffers
+    ({!Framebuf}), and runs every complete frame to completion in the
+    same pass: decode, execute, WAL append, replication fan-out,
+    response encode.  Responses go onto per-connection output queues
+    that are flushed once the receive buffer holds no further complete
+    request, so pipelined ({!Wdm_persist.Resp.request.Batch}) and
+    back-to-back frames share one [writev].  Admission in the paper's
+    nonblocking fabric is a short bounded computation, so no request
+    ever waits on another: there is no admission queue and no helper
+    thread.  The network needs no locks, every client observes its own
+    requests in order, and backpressure is the loop not reading a
+    connection whose output piles up (a peer past the output limit is
+    dropped).  Connection count is bounded by [max_conns] (accept-time
+    gate): idle connections cost one buffer each, no stack, so
+    thousands can sit idle ({!Evloop} uses [epoll] on Linux, [select]
+    elsewhere).  The only state other threads touch is a small
+    promote/stop mailbox behind the loop's wake pipe.
 
     With [store], every state-changing request is also appended to the
     WAL after it executes (a refused connect is still recorded — WAL
@@ -36,25 +37,24 @@
     with a full state snapshot (or a resume point when the follower's
     position is still inside the in-memory ring) and then ships every
     committed op, interleaving state digests every [digest_every] ops;
-    the follower acknowledges each digest.  Each follower gets a
-    bounded outbox drained by its own sender thread — a slow follower
-    is {e evicted}, never allowed to stall admission.  A node started
-    with [follower] dials its leader, applies the stream through the
-    same admission queue (the single-writer invariant holds on both
-    roles), persists to its own WAL when [follower.wal] is set, serves
+    the follower acknowledges each digest.  A replica is an ordinary
+    loop connection whose output queue is its outbox, bounded at
+    [outbox_capacity] frames — a slow follower is {e evicted}, never
+    allowed to stall admission.  A node started with [follower] dials
+    its leader from the same loop (non-blocking connect, hello,
+    subscribe), applies each frame in the pass that decodes it,
+    persists to its own WAL when [follower.wal] is set, serves
     read-only requests, refuses mutations with [Not_leader], and
-    reconnects with capped exponential backoff when the link drops.
+    redials with capped exponential backoff when the link drops.
     {!promote} (or a wire [Promote] request) turns the follower into a
     leader from the newest consistent state it reached.
 
     With [telemetry], the server feeds [server_requests_total] (plus a
     per-client [server_client_requests_total{client="N"}] family),
     [server_responses_total], [server_malformed_total],
-    [server_clients_total], [server_accept_errors_total],
-    [server_clients_active] / [server_queue_depth] gauges,
-    [server_batches_total], and [server_batch_size] /
-    [server_request_latency_seconds] histograms (latency is enqueue to
-    response written, so it includes queueing delay).  Replication
+    [server_clients_total], [server_accept_errors_total], a
+    [server_clients_active] gauge and a [server_request_latency_seconds]
+    histogram (decode start to response handed to the socket).  Replication
     adds, leader-side, [repl_followers] / [repl_lag_ops] /
     [repl_lag_bytes] gauges and [repl_snapshots_sent_total],
     [repl_resumes_total], [repl_ops_sent_total],
@@ -67,8 +67,8 @@
     network was created with.
 
     {b Observability} (DESIGN.md §11): with [telemetry], every served
-    request is also timed per stage — reader decode, admission-queue
-    wait, execute, WAL append, replication ship, response write — into
+    request is also timed per stage — decode, execute, WAL append,
+    replication ship, respond (encode, enqueue and the flush attempt) — into
     [server_stage_<stage>_seconds] histograms and a bounded in-memory
     span ring ([span_buffer] records, exported as Chrome trace events
     through {!spans} / the [/spans] endpoint, and mirrored to the
@@ -105,12 +105,9 @@ type t
 val start :
   ?telemetry:Wdm_telemetry.Sink.t ->
   ?store:Wdm_persist.Store.t ->
-  ?queue_capacity:int ->
-  ?batch_limit:int ->
   ?digest_every:int ->
   ?resume_window:int ->
   ?outbox_capacity:int ->
-  ?follower_sndbuf:int ->
   ?follower:follower_config ->
   ?http:address ->
   ?ready_lag:int ->
@@ -124,24 +121,21 @@ val start :
   t
 (** {!start_backend} specialized to the multistage fabric.
 
-    Binds, listens and spawns the event-loop + admission threads (and
-    the replication client thread when [follower] is given).
-    [queue_capacity] (default 256) bounds the admission queue;
-    [batch_limit] (default 64) caps how many requests one drain takes.
+    Binds, listens and spawns the event-loop thread — the only thread
+    the server runs; with [follower] the loop also dials the leader.
     [max_conns] caps concurrently open request-plane connections: past
     it, accepted fds are closed immediately (counted in
     [server_accept_errors_total]); the observability plane is exempt
     so health stays scrapable at the cap.  [conn_sndbuf] sets
-    [SO_SNDBUF] on accepted request connections (tests use a tiny
-    value to exercise the loop's partial-write path).
+    [SO_SNDBUF] on accepted request and replica connections, bounding
+    how much the kernel buffers on top of the output queue (tests use
+    a tiny value to exercise the partial-write path and to make a
+    "slow" follower deterministic).
     [digest_every] (default 64) is the committed-op interval between
     replicated state digests; [resume_window] (default 1024) how many
     recent ops the leader keeps for follower resume; [outbox_capacity]
-    (default 1024) the per-follower outbox bound past which a slow
-    follower is evicted; [follower_sndbuf] sets [SO_SNDBUF] on
-    follower connections, bounding how much the kernel can buffer on
-    top of the outbox (eviction tests use a tiny value to make "slow"
-    deterministic).  The caller keeps ownership of [store] (close it
+    (default 1024) the per-follower outbox bound, in frames, past which
+    a slow follower is evicted.  The caller keeps ownership of [store] (close it
     after {!stop}); a [follower] node instead manages its own store
     for [follower.wal] — read it back with {!current_store}.
 
@@ -158,12 +152,9 @@ val start :
 val start_backend :
   ?telemetry:Wdm_telemetry.Sink.t ->
   ?store:Wdm_persist.Store.t ->
-  ?queue_capacity:int ->
-  ?batch_limit:int ->
   ?digest_every:int ->
   ?resume_window:int ->
   ?outbox_capacity:int ->
-  ?follower_sndbuf:int ->
   ?follower:follower_config ->
   ?http:address ->
   ?ready_lag:int ->
@@ -214,17 +205,19 @@ val promote : t -> (int, string) result
     fresh epoch, start accepting mutations and follower subscriptions
     from the newest consistent state.  Returns {!applied} at the
     moment of promotion.  [Error] when already the leader or stopped.
-    Blocks until the admission thread performs the switch, so on
-    return every subsequent request sees the new role. *)
+    Posted to the event loop's mailbox; blocks until the loop performs
+    the switch, so on return every subsequent request sees the new
+    role. *)
 
 val stop : t -> unit
-(** Graceful shutdown: stop accepting, shut client receive sides down
-    (requests already admitted are still answered — an answered
-    request is one a retrying client will not replay against the next
-    leader), drain the queue, let follower outboxes flush (bounded
-    grace), and join all threads.  After [stop] returns no thread
-    touches the network or the store, so the caller can checkpoint and
-    close them safely.  Idempotent. *)
+(** Graceful shutdown, as one drain phase of the loop: stop accepting
+    and reading (every request already decoded has been answered — an
+    answered request is one a retrying client will not replay against
+    the next leader), queue a [Goodbye] to each follower, flush every
+    connection until drained or a 5 s grace deadline passes, and join
+    the loop thread.  After [stop] returns no thread touches the
+    network or the store, so the caller can checkpoint and close them
+    safely.  Idempotent. *)
 
 val served : t -> int
 (** Requests answered so far (monotone; stable after {!stop}).  A
@@ -243,9 +236,11 @@ val spans :
   t -> (int option * int * float * float * (string * float) list) list
 (** The span ring, oldest first: [(span id, client id, start, total,
     stages)] per request, where [stages] are [(name, seconds)] slices
-    in [decode; queue; execute; wal; replicate; respond] order.  Spans
-    are recorded only when the server has [telemetry].  Taken under
-    the server mutex — cheap, but a snapshot, not a live view. *)
+    in [decode; execute; wal; replicate; respond] order.  Spans are
+    recorded only when the server has [telemetry].  Read without
+    locking (the loop only appends at the back and drops from the
+    front), so it is a snapshot, not a live view; it is exact once the
+    server is stopped. *)
 
 val spans_chrome : t -> string
 (** The span ring as Chrome [trace_event] JSON (what [/spans] serves):

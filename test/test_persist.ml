@@ -303,6 +303,43 @@ let test_state_codec_roundtrip () =
       (List.length snap.Network.s_routes)
       (List.length snap'.Network.s_routes)
 
+(* A snapshot whose [m] field took a bit flip (offset 4: u32 after [n])
+   must come back as [Error] before [Network.restore] allocates: m =
+   13,303,818 on a 32x192x32 k=2 fabric asks for gigabytes of link
+   planes (an uncaught out-of-memory), and at r = 4 still for hundreds
+   of megabytes that used to be silently allocated. *)
+let with_m state m =
+  let b = Bytes.of_string state in
+  Bytes.set_int32_le b 4 (Int32.of_int m);
+  Bytes.to_string b
+
+let test_restore_refuses_implausible_shape () =
+  List.iter
+    (fun (r, impl) ->
+      let net =
+        Network.create
+          ~config:{ Network.Config.default with link_impl = Some impl }
+          ~construction:Network.Msw_dominant ~output_model:Model.MSW
+          (Topology.make_exn ~n:32 ~m:192 ~r ~k:2)
+      in
+      let state = P.Backend.encode_state (P.Backend.Net net) in
+      (match P.Backend.restore state with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail ("intact snapshot refused: " ^ e));
+      match P.Backend.restore (with_m state 13_303_818) with
+      | Error _ -> ()
+      | Ok _ ->
+        Alcotest.fail (Printf.sprintf "flipped m restored at r=%d" r))
+    [ (32, Network.Bitset); (4, Network.Bitset); (4, Network.Reference) ];
+  (* a wavelength count past the ceiling is refused too *)
+  let net = make_net ~impl:Network.Reference () in
+  let state = P.Backend.encode_state (P.Backend.Net net) in
+  let b = Bytes.of_string state in
+  Bytes.set_int32_le b 12 (Int32.of_int 100_000);
+  match P.Backend.restore (Bytes.to_string b) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "k = 100000 restored"
+
 (* --- wal ----------------------------------------------------------------- *)
 
 let test_wal_write_read () =
@@ -494,6 +531,8 @@ let () =
             test_restore_rejects_inconsistent;
           Alcotest.test_case "state codec roundtrip" `Quick
             test_state_codec_roundtrip;
+          Alcotest.test_case "refuses implausible shape" `Quick
+            test_restore_refuses_implausible_shape;
         ] );
       ( "wal",
         [

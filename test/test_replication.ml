@@ -261,7 +261,7 @@ let test_follower_catches_up () =
 let test_slow_follower_eviction () =
   let sink = Tel.Sink.create () in
   let srv =
-    Srv.Server.start ~telemetry:sink ~outbox_capacity:8 ~follower_sndbuf:4096
+    Srv.Server.start ~telemetry:sink ~outbox_capacity:8 ~conn_sndbuf:4096
       ~net:(make_net Network.Bitset) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop srv) @@ fun () ->
@@ -318,6 +318,135 @@ let test_slow_follower_eviction () =
       match Srv.Client.digest c with
       | Ok _ -> ()
       | Error e -> Alcotest.fail (Srv.Client.error_to_string e))
+
+(* --- the follower's dial path ----------------------------------------------- *)
+
+let converged leader follower =
+  wait_for (fun () -> Srv.Server.applied follower = Srv.Server.applied leader)
+  &&
+  match
+    (with_client leader Srv.Client.digest, with_client follower Srv.Client.digest)
+  with
+  | Ok a, Ok b -> a = b
+  | _ -> false
+
+(* A follower started before its leader exists keeps redialling with
+   backoff; once the leader binds it links up and converges.  When the
+   leader restarts on the same address the follower redials it and
+   converges again. *)
+let test_follower_dials_late_and_redials () =
+  let addr = sock () in
+  let follower_sink = Tel.Sink.create () in
+  let follower =
+    Srv.Server.start ~telemetry:follower_sink
+      ~follower:{ Srv.Server.leader = addr; wal = None }
+      ~net:(make_net Network.Bitset) (sock ())
+  in
+  Fun.protect ~finally:(fun () -> Srv.Server.stop follower) @@ fun () ->
+  (* a few dials against nothing *)
+  Thread.delay 0.15;
+  let net = make_net Network.Bitset in
+  let leader = Srv.Server.start ~net addr in
+  let leader_up = ref true in
+  Fun.protect ~finally:(fun () -> if !leader_up then Srv.Server.stop leader)
+  @@ fun () ->
+  with_client leader (fun c ->
+      ignore (run_churn ~sink:(Tel.Sink.create ()) (Srv.Client.churn_sut c)));
+  Alcotest.(check bool) "leader committed ops" true
+    (Srv.Server.applied leader > 0);
+  Alcotest.(check bool) "follower converged to the late leader" true
+    (converged leader follower);
+  (* restart the leader on the same address, over the same state *)
+  Srv.Server.stop leader;
+  leader_up := false;
+  let leader2 = Srv.Server.start ~net addr in
+  Fun.protect ~finally:(fun () -> Srv.Server.stop leader2) @@ fun () ->
+  with_client leader2 (fun c ->
+      for i = 1 to 3 do
+        ignore
+          (Srv.Client.request c
+             (P.Resp.Admit (P.Op.Connect (conn (ep i 2) [ ep (i + 3) 2 ]))))
+      done);
+  Alcotest.(check bool) "follower converged to the restarted leader" true
+    (converged leader2 follower);
+  Alcotest.(check bool) "the link was re-established" true
+    (counter_of follower_sink "repl_reconnects_total" >= 1)
+
+(* A leader whose first snapshot is damaged — [m] flipped to
+   13,303,818 on a 32x192x32 k=2 fabric — must not take the follower
+   down: it refuses the state, redials demanding a snapshot, and
+   installs the intact one the next link delivers. *)
+let test_follower_resyncs_on_damaged_snapshot () =
+  let source =
+    Network.create ~construction:Network.Msw_dominant ~output_model:Model.MSW
+      (Topology.make_exn ~n:32 ~m:192 ~r:32 ~k:2)
+  in
+  ignore (Network.connect source (conn (ep 1 1) [ ep 40 1; ep 900 2 ]));
+  let good = P.Backend.encode_state (P.Backend.Net source) in
+  let bad =
+    let b = Bytes.of_string good in
+    Bytes.set_int32_le b 4 (Int32.of_int 13_303_818);
+    Bytes.to_string b
+  in
+  let path = socket_path () in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 4;
+  let links = ref [] and subscribes = ref [] in
+  (* a scripted leader: one link per state, in order *)
+  let serve_link state =
+    let fd, _ = Unix.accept lfd in
+    links := fd :: !links;
+    (match Srv.Protocol.read_exactly fd P.Wire.header_len with
+    | Srv.Protocol.Exact hello
+      when Srv.Protocol.check_follower_hello hello = Ok () -> ()
+    | _ -> failwith "no follower hello");
+    Srv.Protocol.write_all fd Srv.Protocol.server_hello;
+    (match Srv.Protocol.recv_frame fd with
+    | Srv.Protocol.Frame p -> (
+      match P.Repl.to_leader_of_string p with
+      | Ok (P.Repl.Subscribe { last_seq; _ }) ->
+        subscribes := last_seq :: !subscribes
+      | _ -> failwith "expected Subscribe")
+    | _ -> failwith "no subscribe frame");
+    let b = Buffer.create 256 in
+    P.Repl.encode_to_follower b
+      (P.Repl.Init_snapshot { epoch = 7; seq = 5; state });
+    Srv.Protocol.send_frame fd (Buffer.contents b)
+  in
+  let script =
+    Thread.create
+      (fun () ->
+        try
+          serve_link bad;
+          serve_link good
+        with Failure _ | Unix.Unix_error _ -> ())
+      ()
+  in
+  let sink = Tel.Sink.create () in
+  let follower =
+    Srv.Server.start ~telemetry:sink
+      ~follower:{ Srv.Server.leader = Srv.Server.Unix_socket path; wal = None }
+      ~net:(make_net Network.Bitset) (sock ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Srv.Server.stop follower;
+      Thread.join script;
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !links;
+      Unix.close lfd;
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Alcotest.(check bool) "intact snapshot installed" true
+    (wait_for (fun () -> Srv.Server.applied follower = 5));
+  Alcotest.(check (list int)) "both subscribes demanded a snapshot" [ -1; -1 ]
+    !subscribes;
+  Alcotest.(check int) "one snapshot installed" 1
+    (counter_of sink "repl_snapshots_received_total");
+  match with_client follower Srv.Client.digest with
+  | Ok d ->
+    Alcotest.(check int) "serves the intact state" (P.Store.digest source) d
+  | Error e -> Alcotest.fail (Srv.Client.error_to_string e)
 
 (* --- client deadlines ------------------------------------------------------ *)
 
@@ -627,6 +756,10 @@ let () =
             test_slow_follower_eviction;
           Alcotest.test_case "follower wal resume" `Quick
             test_follower_wal_resume;
+          Alcotest.test_case "follower dials late and redials" `Quick
+            test_follower_dials_late_and_redials;
+          Alcotest.test_case "follower resyncs on a damaged snapshot" `Quick
+            test_follower_resyncs_on_damaged_snapshot;
         ] );
       ( "client",
         [
