@@ -1,7 +1,9 @@
-(* Branch-light bit tricks for the packed link-state planes.  All
-   functions operate on non-negative OCaml ints, i.e. at most 62 usable
-   bits on 64-bit platforms — enough for one wavelength plane (k <= 62)
-   or one word of a larger bitset. *)
+(* Branch-light bit tricks for packed bitsets.  All functions operate
+   on non-negative OCaml ints, i.e. at most 62 usable bits on 64-bit
+   platforms; a larger bitset is an array of such words. *)
+
+let word_bits = 62
+let words_for n = (n + word_bits - 1) / word_bits
 
 (* SWAR popcount (Hacker's Delight, fig. 5-2), widened to OCaml's
    63-bit ints.  The final multiply gathers the per-byte sums into the

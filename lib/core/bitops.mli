@@ -1,9 +1,17 @@
 (** Bit tricks for packed wavelength planes and endpoint bitsets.
 
-    All functions treat an OCaml [int] as a word of up to 62 usable
-    bits, which bounds the packed representations built on top (one
-    wavelength plane needs [k <= 62] bits; larger universes use arrays
-    of words). *)
+    All functions treat an OCaml [int] as a word of {!word_bits} = 62
+    usable bits.  Larger universes are arrays of such words: the
+    multistage link planes give every link [words_for k] words, and the
+    churn drivers' free-endpoint pool is one word array over its whole
+    universe. *)
+
+val word_bits : int
+(** Usable bits per word: 62. *)
+
+val words_for : int -> int
+(** [words_for n] is the number of words a universe of [n] bits needs,
+    [ceil (n / word_bits)] ([0] for [n = 0]). *)
 
 val popcount : int -> int
 (** Number of set bits (SWAR, no lookup table, no branches). *)

@@ -8,8 +8,6 @@ type strategy =
   | Exhaustive
   | Named of string  (* a registered strategy plug-in, by registry name *)
 
-type link_impl = Bitset | Reference
-
 type hop = { middle : int; stage1_wl : int; serves : (int * int) list }
 
 type route = {
@@ -58,118 +56,87 @@ end)
 
 (* ----- link-state planes ----------------------------------------------- *)
 
-(* One stage's wavelength occupancy, busy and dead lasers side by side.
-   [SPacked] stores each link's k-slot plane as one int bitmask (bit
-   [w-1] = wavelength [w]); it requires [k <= 62].  [SWide] is the
-   original bool-array representation: it is both the fallback for
-   larger [k] and the retained reference implementation that the
-   equivalence property tests and the benchmark's before/after
-   comparison run against. *)
-type stage_state =
-  | SPacked of { busy : int array array; dead : int array array }
-  | SWide of { busy : bool array array array; dead : bool array array array }
+(* One stage's wavelength occupancy as a flat packed bitset: link
+   (row, col) owns [words = ceil(k/62)] consecutive ints starting at
+   [((row-1) * cols + col-1) * words], and wavelength [w] is bit
+   [(w-1) mod 62] of word [(w-1) / 62] — a single word per link whenever
+   [k <= 62].  Busy slots and slots served by a dead laser live in two
+   arrays of the same layout.  Rows and cols are 1-based, as at the API. *)
+type plane = {
+  busy : int array;
+  dead : int array;
+  cols : int;
+  words : int;  (* per link *)
+  k : int;
+}
 
-let max_packed_k = 62
+let make_plane ~rows ~cols ~k =
+  let words = Bitops.words_for k in
+  let size = rows * cols * words in
+  { busy = Array.make size 0; dead = Array.make size 0; cols; words; k }
 
-let make_stage impl ~rows ~cols ~k =
-  match impl with
-  | Bitset ->
-    SPacked
-      { busy = Array.make_matrix rows cols 0;
-        dead = Array.make_matrix rows cols 0 }
-  | Reference ->
-    SWide
-      {
-        busy =
-          Array.init rows (fun _ ->
-              Array.init cols (fun _ -> Array.make k false));
-        dead =
-          Array.init rows (fun _ ->
-              Array.init cols (fun _ -> Array.make k false));
-      }
+let link_base pl ~row ~col = (((row - 1) * pl.cols) + col - 1) * pl.words
 
-let first_live_free_wide busy dead =
-  let rec go i =
-    if i >= Array.length busy then None
-    else if (not busy.(i)) && not dead.(i) then Some (i + 1)
-    else go (i + 1)
-  in
-  go 0
+(* The word holding wavelength [wl] of link (row, col), and its bit.
+   With one word per link, the case of every k <= 62 fabric, both skip
+   the division. *)
+let slot_word pl ~row ~col ~wl =
+  if pl.words = 1 then ((row - 1) * pl.cols) + col - 1
+  else link_base pl ~row ~col + ((wl - 1) / Bitops.word_bits)
 
-let slot_busy st ~row ~col ~wl =
-  match st with
-  | SPacked { busy; _ } -> busy.(row - 1).(col - 1) land (1 lsl (wl - 1)) <> 0
-  | SWide { busy; _ } -> busy.(row - 1).(col - 1).(wl - 1)
+let slot_bit pl wl =
+  if pl.words = 1 then 1 lsl (wl - 1)
+  else 1 lsl ((wl - 1) mod Bitops.word_bits)
 
-(* usable = neither busy nor served by a dead laser *)
-let slot_live_free st ~row ~col ~wl =
-  match st with
-  | SPacked { busy; dead } ->
-    (busy.(row - 1).(col - 1) lor dead.(row - 1).(col - 1))
-    land (1 lsl (wl - 1))
-    = 0
-  | SWide { busy; dead } ->
-    (not busy.(row - 1).(col - 1).(wl - 1))
-    && not dead.(row - 1).(col - 1).(wl - 1)
+let slot_busy pl ~row ~col ~wl =
+  pl.busy.(slot_word pl ~row ~col ~wl) land slot_bit pl wl <> 0
 
-let slot_first_free st ~k ~row ~col =
-  match st with
-  | SPacked { busy; dead } -> (
+(* usable = neither busy nor served by a dead laser; the probe every
+   candidate middle takes, so its one-word case is spelled out *)
+let slot_live_free pl ~row ~col ~wl =
+  if pl.words = 1 then
+    let i = ((row - 1) * pl.cols) + col - 1 in
+    (pl.busy.(i) lor pl.dead.(i)) land (1 lsl (wl - 1)) = 0
+  else
+    let i = slot_word pl ~row ~col ~wl in
+    (pl.busy.(i) lor pl.dead.(i)) land slot_bit pl wl = 0
+
+let rec first_free_from pl base w =
+  if w = pl.words then None
+  else
     match
-      Bitops.lowest_clear ~width:k
-        (busy.(row - 1).(col - 1) lor dead.(row - 1).(col - 1))
+      Bitops.lowest_clear
+        ~width:(min Bitops.word_bits (pl.k - (w * Bitops.word_bits)))
+        (pl.busy.(base + w) lor pl.dead.(base + w))
     with
-    | Some b -> Some (b + 1)
-    | None -> None)
-  | SWide { busy; dead } ->
-    first_live_free_wide busy.(row - 1).(col - 1) dead.(row - 1).(col - 1)
+    | Some b -> Some ((w * Bitops.word_bits) + b + 1)
+    | None -> first_free_from pl base (w + 1)
 
-let slot_used_count st ~row ~col =
-  match st with
-  | SPacked { busy; _ } -> Bitops.popcount busy.(row - 1).(col - 1)
-  | SWide { busy; _ } ->
-    Array.fold_left
-      (fun acc b -> if b then acc + 1 else acc)
-      0
-      busy.(row - 1).(col - 1)
+let slot_first_free pl ~row ~col =
+  first_free_from pl (link_base pl ~row ~col) 0
 
-let slot_set st ~row ~col ~wl =
-  match st with
-  | SPacked { busy; _ } ->
-    busy.(row - 1).(col - 1) <- busy.(row - 1).(col - 1) lor (1 lsl (wl - 1))
-  | SWide { busy; _ } -> busy.(row - 1).(col - 1).(wl - 1) <- true
+let slot_used_count pl ~row ~col =
+  let base = link_base pl ~row ~col in
+  let n = ref 0 in
+  for i = base to base + pl.words - 1 do
+    n := !n + Bitops.popcount pl.busy.(i)
+  done;
+  !n
 
-let slot_unset st ~row ~col ~wl =
-  match st with
-  | SPacked { busy; _ } ->
-    busy.(row - 1).(col - 1) <-
-      busy.(row - 1).(col - 1) land lnot (1 lsl (wl - 1))
-  | SWide { busy; _ } -> busy.(row - 1).(col - 1).(wl - 1) <- false
+let slot_set pl ~row ~col ~wl =
+  let i = slot_word pl ~row ~col ~wl in
+  pl.busy.(i) <- pl.busy.(i) lor slot_bit pl wl
 
-let slot_dead_set st ~row ~col ~wl =
-  match st with
-  | SPacked { dead; _ } ->
-    dead.(row - 1).(col - 1) <- dead.(row - 1).(col - 1) lor (1 lsl (wl - 1))
-  | SWide { dead; _ } -> dead.(row - 1).(col - 1).(wl - 1) <- true
+let slot_unset pl ~row ~col ~wl =
+  let i = slot_word pl ~row ~col ~wl in
+  pl.busy.(i) <- pl.busy.(i) land lnot (slot_bit pl wl)
 
-let stage_reset_dead st =
-  match st with
-  | SPacked { dead; _ } ->
-    Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) dead
-  | SWide { dead; _ } ->
-    Array.iter
-      (fun row -> Array.iter (fun wls -> Array.fill wls 0 (Array.length wls) false) row)
-      dead
+let slot_dead_set pl ~row ~col ~wl =
+  let i = slot_word pl ~row ~col ~wl in
+  pl.dead.(i) <- pl.dead.(i) lor slot_bit pl wl
 
-let copy_stage = function
-  | SPacked { busy; dead } ->
-    SPacked { busy = Array.map Array.copy busy; dead = Array.map Array.copy dead }
-  | SWide { busy; dead } ->
-    SWide
-      {
-        busy = Array.map (Array.map Array.copy) busy;
-        dead = Array.map (Array.map Array.copy) dead;
-      }
+let copy_plane pl =
+  { pl with busy = Array.copy pl.busy; dead = Array.copy pl.dead }
 
 (* Pre-registered instruments: the name lookup happens once in
    [create], so the hot paths touch fields directly. *)
@@ -202,12 +169,11 @@ type t = {
   output_model : Model.t;
   x_limit : int;
   strategy : strategy;
-  impl : link_impl;
   rearrange_limit : int;
   (* stage1: link (input module i, middle j); stage2: (middle j, output
-     module p).  Rows/cols are 1-based at the API, 0-based inside. *)
-  stage1 : stage_state;
-  stage2 : stage_state;
+     module p) *)
+  stage1 : plane;
+  stage2 : plane;
   mutable busy_sources : Eset.t;
   mutable busy_dests : Eset.t;
   (* incremental tallies: [Set.cardinal]/[Map.cardinal] are O(n), so
@@ -224,6 +190,7 @@ type t = {
   mutable failed_inputs : Iset.t;
   mutable failed_outputs : Iset.t;
   mutable dead_converters : Pset.t;  (* (middle, output) pass-through links *)
+  all_middles : int list;  (* [1; ...; m], the first-fit scan order *)
   (* scratch for the allocation-free selection loops; never observable
      across calls *)
   scratch_uncovered : int array;
@@ -316,7 +283,6 @@ module Config = struct
   type t = {
     strategy : strategy;
     x_limit : int option;  (** [None]: Theorem 1/2 optimum for the topology *)
-    link_impl : link_impl option;  (** [None]: [Bitset] when it fits *)
     rearrange_limit : int;
     telemetry : Tel.Sink.t option;
   }
@@ -325,7 +291,6 @@ module Config = struct
     {
       strategy = Min_intersection;
       x_limit = None;
-      link_impl = None;
       rearrange_limit = 64;
       telemetry = None;
     }
@@ -333,9 +298,7 @@ end
 
 let create ?(config = Config.default) ~construction ~output_model
     (topo : Topology.t) =
-  let { Config.strategy; x_limit; link_impl; rearrange_limit; telemetry } =
-    config
-  in
+  let { Config.strategy; x_limit; rearrange_limit; telemetry } = config in
   let default_x () =
     match construction with
     | Msw_dominant -> (Conditions.msw_dominant ~n:topo.n ~r:topo.r).x
@@ -345,15 +308,6 @@ let create ?(config = Config.default) ~construction ~output_model
   if x_limit < 1 then invalid_arg "Network.create: x_limit must be >= 1";
   if rearrange_limit < 1 then
     invalid_arg "Network.create: rearrange_limit must be >= 1";
-  let impl =
-    match link_impl with
-    | Some Bitset when topo.k > max_packed_k ->
-      invalid_arg
-        (Printf.sprintf "Network.create: Bitset link state needs k <= %d"
-           max_packed_k)
-    | Some impl -> impl
-    | None -> if topo.k <= max_packed_k then Bitset else Reference
-  in
   let plugin =
     match strategy with
     | Min_intersection | First_fit | Exhaustive -> None
@@ -370,10 +324,9 @@ let create ?(config = Config.default) ~construction ~output_model
     output_model;
     x_limit;
     strategy;
-    impl;
     rearrange_limit;
-    stage1 = make_stage impl ~rows:topo.r ~cols:topo.m ~k:topo.k;
-    stage2 = make_stage impl ~rows:topo.m ~cols:topo.r ~k:topo.k;
+    stage1 = make_plane ~rows:topo.r ~cols:topo.m ~k:topo.k;
+    stage2 = make_plane ~rows:topo.m ~cols:topo.r ~k:topo.k;
     busy_sources = Eset.empty;
     busy_dests = Eset.empty;
     n_busy_sources = 0;
@@ -387,6 +340,7 @@ let create ?(config = Config.default) ~construction ~output_model
     failed_inputs = Iset.empty;
     failed_outputs = Iset.empty;
     dead_converters = Pset.empty;
+    all_middles = List.init topo.m (fun j -> j + 1);
     scratch_uncovered = Array.make topo.r 0;
     instruments = Option.map (register_instruments topo) telemetry;
     plugin;
@@ -397,7 +351,6 @@ let construction t = t.construction
 let output_model t = t.output_model
 let x_limit t = t.x_limit
 let strategy t = t.strategy
-let link_impl t = t.impl
 
 (* ----- link-state helpers --------------------------------------------- *)
 
@@ -408,7 +361,7 @@ let stage1_used_count t ~input_switch ~middle =
   slot_used_count t.stage1 ~row:input_switch ~col:middle
 
 let stage1_first_free t ~input_switch ~middle =
-  slot_first_free t.stage1 ~k:t.topo.k ~row:input_switch ~col:middle
+  slot_first_free t.stage1 ~row:input_switch ~col:middle
 
 let stage1_any_free t ~input_switch ~middle =
   stage1_first_free t ~input_switch ~middle <> None
@@ -417,7 +370,7 @@ let stage2_free_wl t ~middle ~out_switch ~wl =
   slot_live_free t.stage2 ~row:middle ~col:out_switch ~wl
 
 let stage2_first_free t ~middle ~out_switch =
-  slot_first_free t.stage2 ~k:t.topo.k ~row:middle ~col:out_switch
+  slot_first_free t.stage2 ~row:middle ~col:out_switch
 
 let stage2_any_free t ~middle ~out_switch =
   stage2_first_free t ~middle ~out_switch <> None
@@ -483,85 +436,13 @@ let middle_covers t ~input_switch ~src_wl j p =
       else stage2_any_free t ~middle:j ~out_switch:p)
 
 let available_middles t ~input_switch ~src_wl =
-  List.filter
-    (fun j -> middle_available t ~input_switch ~src_wl j)
-    (List.init t.topo.m (fun j -> j + 1))
+  List.filter (fun j -> middle_available t ~input_switch ~src_wl j) t.all_middles
 
 (* ----- middle-module selection ---------------------------------------- *)
 
-(* Two families of selectors.  The [ref_*] versions are the original
-   list-based implementations, kept verbatim as the reference the
-   equivalence property test and the benchmark compare against (and as
-   the only implementation for [Reference]-mode networks).  The [fast_*]
-   versions score with a scratch array and per-link mask probes; they
-   must choose byte-identical routes — both scan middles in ascending
-   index order and break score ties toward the lower index. *)
-
-(* Min-intersection greedy (the Lemma 5 argument): repeatedly take the
-   middle covering the most still-uncovered output modules, i.e.
-   minimizing the residual intersection. *)
-let ref_min_intersection t ~input_switch ~src_wl available fanout =
-  let rec go chosen uncovered remaining picks_left =
-    if uncovered = [] then Some (List.rev chosen)
-    else if picks_left = 0 || remaining = [] then None
-    else begin
-      let scored =
-        List.map
-          (fun j ->
-            let covered =
-              List.filter (fun p -> middle_covers t ~input_switch ~src_wl j p) uncovered
-            in
-            (j, covered))
-          remaining
-      in
-      let best =
-        List.fold_left
-          (fun acc (j, covered) ->
-            match acc with
-            | None -> Some (j, covered)
-            | Some (_, best_cov) ->
-              if List.length covered > List.length best_cov then Some (j, covered)
-              else acc)
-          None scored
-      in
-      match best with
-      | None | Some (_, []) -> None
-      | Some (j, covered) ->
-        let uncovered' =
-          List.filter (fun p -> not (List.mem p covered)) uncovered
-        in
-        let remaining' = List.filter (fun j' -> j' <> j) remaining in
-        go ((j, covered) :: chosen) uncovered' remaining' (picks_left - 1)
-    end
-  in
-  go [] fanout available t.x_limit
-
-let ref_first_fit t ~input_switch ~src_wl available fanout =
-  let rec go chosen uncovered remaining picks_left =
-    if uncovered = [] then Some (List.rev chosen)
-    else
-      match remaining with
-      | [] -> None
-      | j :: rest ->
-        if picks_left = 0 then None
-        else begin
-          let covered =
-            List.filter (fun p -> middle_covers t ~input_switch ~src_wl j p) uncovered
-          in
-          if covered = [] then go chosen uncovered rest picks_left
-          else begin
-            let uncovered' =
-              List.filter (fun p -> not (List.mem p covered)) uncovered
-            in
-            go ((j, covered) :: chosen) uncovered' rest (picks_left - 1)
-          end
-        end
-  in
-  go [] fanout available t.x_limit
-
-(* Fast path: the still-uncovered output modules live in a scratch
-   array that is compacted in place as a pick covers some of them, so a
-   selection round allocates nothing but the winner's covered list. *)
+(* The still-uncovered output modules live in a scratch array that is
+   compacted in place as a pick covers some of them, so a selection
+   round allocates nothing but the winner's covered list. *)
 let load_uncovered t fanout =
   let unc = t.scratch_uncovered in
   let n = ref 0 in
@@ -589,7 +470,11 @@ let extract_covered t ~input_switch ~src_wl j n_unc =
   done;
   (List.rev !covered, !w)
 
-let fast_min_intersection t ~input_switch ~src_wl fanout =
+(* Min-intersection greedy (the Lemma 5 argument): repeatedly take the
+   middle covering the most still-uncovered output modules, i.e.
+   minimizing the residual intersection.  Middles are scanned in
+   ascending index order and score ties go to the lower index. *)
+let min_intersection t ~input_switch ~src_wl fanout =
   let m = t.topo.m in
   let unc = t.scratch_uncovered in
   let rec pick chosen_rev chosen_js n_unc picks_left =
@@ -622,24 +507,28 @@ let fast_min_intersection t ~input_switch ~src_wl fanout =
   in
   pick [] [] (load_uncovered t fanout) t.x_limit
 
-let fast_first_fit t ~input_switch ~src_wl fanout =
-  let m = t.topo.m in
-  let rec go chosen_rev n_unc picks_left j =
-    if n_unc = 0 then Some (List.rev chosen_rev)
-    else if j > m then None
-    else if not (middle_available t ~input_switch ~src_wl j) then
-      go chosen_rev n_unc picks_left (j + 1)
-    else if picks_left = 0 then None
-    else begin
-      let covered, n_unc' = extract_covered t ~input_switch ~src_wl j n_unc in
-      if covered = [] then go chosen_rev n_unc picks_left (j + 1)
-      else go ((j, covered) :: chosen_rev) n_unc' (picks_left - 1) (j + 1)
-    end
+(* First-fit over a middle order: walk [order], skip middles without a
+   usable first-stage slot, and keep each that covers something still
+   uncovered, up to [x_limit] picks.  The [First_fit] built-in scans
+   [all_middles]; ordering-based plug-ins pass their own order. *)
+let first_fit t ~input_switch ~src_wl order fanout =
+  let rec go chosen_rev n_unc picks_left = function
+    | _ when n_unc = 0 -> Some (List.rev chosen_rev)
+    | [] -> None
+    | j :: rest ->
+      if not (middle_available t ~input_switch ~src_wl j) then
+        go chosen_rev n_unc picks_left rest
+      else if picks_left = 0 then None
+      else begin
+        let covered, n_unc' = extract_covered t ~input_switch ~src_wl j n_unc in
+        if covered = [] then go chosen_rev n_unc picks_left rest
+        else go ((j, covered) :: chosen_rev) n_unc' (picks_left - 1) rest
+      end
   in
-  go [] (load_uncovered t fanout) t.x_limit 1
+  go [] (load_uncovered t fanout) t.x_limit order
 
 (* Exhaustive: subsets of increasing size; returns the first full cover.
-   Ablation-only, so it shares the list implementation in both modes. *)
+   Ablation-only, so plain lists suffice. *)
 let select_exhaustive t ~input_switch ~src_wl available fanout =
   let covers_of j = List.filter (fun p -> middle_covers t ~input_switch ~src_wl j p) fanout in
   let rec subsets size = function
@@ -694,7 +583,10 @@ module Strategy = struct
   let available c =
     available_middles c.net ~input_switch:c.c_input_switch ~src_wl:c.c_src_wl
 
+  (* range-checked: a flat plane would otherwise alias another link *)
   let covers c ~middle p =
+    if middle < 1 || middle > c.net.topo.m || p < 1 || p > c.net.topo.r then
+      invalid_arg "Network.Strategy.covers: module index out of range";
     middle_covers c.net ~input_switch:c.c_input_switch ~src_wl:c.c_src_wl
       middle p
 
@@ -708,8 +600,8 @@ module Strategy = struct
       c.c_fanout
 
   let cover_in_order c order =
-    ref_first_fit c.net ~input_switch:c.c_input_switch ~src_wl:c.c_src_wl
-      order c.c_fanout
+    first_fit c.net ~input_switch:c.c_input_switch ~src_wl:c.c_src_wl order
+      c.c_fanout
 
   let register = Plugin_registry.register
   let register_parser = Plugin_registry.register_parser
@@ -753,22 +645,14 @@ let check_plan t ~input_switch ~src_wl ~fanout ~name plan =
 
 let select t ~input_switch ~src_wl fanout =
   let raw =
-    match (t.strategy, t.impl) with
-    | Min_intersection, Bitset -> fast_min_intersection t ~input_switch ~src_wl fanout
-    | First_fit, Bitset -> fast_first_fit t ~input_switch ~src_wl fanout
-    | Min_intersection, Reference ->
-      ref_min_intersection t ~input_switch ~src_wl
-        (available_middles t ~input_switch ~src_wl)
-        fanout
-    | First_fit, Reference ->
-      ref_first_fit t ~input_switch ~src_wl
-        (available_middles t ~input_switch ~src_wl)
-        fanout
-    | Exhaustive, _ ->
+    match t.strategy with
+    | Min_intersection -> min_intersection t ~input_switch ~src_wl fanout
+    | First_fit -> first_fit t ~input_switch ~src_wl t.all_middles fanout
+    | Exhaustive ->
       select_exhaustive t ~input_switch ~src_wl
         (available_middles t ~input_switch ~src_wl)
         fanout
-    | Named _, _ -> (
+    | Named _ -> (
       let p =
         match t.plugin with Some p -> p | None -> assert false
         (* create/restore resolve Named strategies or refuse *)
@@ -795,10 +679,7 @@ let select t ~input_switch ~src_wl fanout =
 let annealed_select (c : sctx) =
   let t = c.net in
   let module R = Wdm_core.Strategy.Det_rng in
-  let scan order =
-    ref_first_fit t ~input_switch:c.c_input_switch ~src_wl:c.c_src_wl order
-      c.c_fanout
-  in
+  let scan = Strategy.cover_in_order c in
   let avail =
     available_middles t ~input_switch:c.c_input_switch ~src_wl:c.c_src_wl
   in
@@ -905,29 +786,12 @@ let () =
     "greedy minimal-residual-intersection cover (Lemma 5); the \
      Min_intersection built-in"
     (fun c ->
-      match c.net.impl with
-      | Bitset ->
-        fast_min_intersection c.net ~input_switch:c.c_input_switch
-          ~src_wl:c.c_src_wl c.c_fanout
-      | Reference ->
-        ref_min_intersection c.net ~input_switch:c.c_input_switch
-          ~src_wl:c.c_src_wl
-          (available_middles c.net ~input_switch:c.c_input_switch
-             ~src_wl:c.c_src_wl)
-          c.c_fanout);
+      min_intersection c.net ~input_switch:c.c_input_switch ~src_wl:c.c_src_wl
+        c.c_fanout);
   reg "first-fit"
     "ascending middle scan keeping any module that covers something new; \
      the First_fit built-in"
-    (fun c ->
-      match c.net.impl with
-      | Bitset ->
-        fast_first_fit c.net ~input_switch:c.c_input_switch
-          ~src_wl:c.c_src_wl c.c_fanout
-      | Reference ->
-        ref_first_fit c.net ~input_switch:c.c_input_switch ~src_wl:c.c_src_wl
-          (available_middles c.net ~input_switch:c.c_input_switch
-             ~src_wl:c.c_src_wl)
-          c.c_fanout);
+    (fun c -> Strategy.cover_in_order c c.net.all_middles);
   reg "exhaustive"
     "smallest-subset search over available middles; the Exhaustive built-in"
     (fun c ->
@@ -1020,44 +884,20 @@ let input_utilization t =
   float_of_int t.n_busy_sources
   /. float_of_int (Topology.num_ports t.topo * t.topo.k)
 
-(* O(1) per gauge on the packed path: every tally is maintained
-   incrementally by the connect/release paths, so this never rescans
-   the planes.  The wide (Reference) path deliberately keeps the
-   pre-bitset recomputation — set cardinals and a full O(r*m*k) plane
-   scan per call — so differential benchmarks measure the retained
-   implementation at its original end-to-end cost.  Both paths set the
-   same values (the lockstep equivalence tests compare final states). *)
+(* O(1) per gauge: every tally is maintained incrementally by the
+   connect/release paths, so this never rescans the planes. *)
 let update_gauges t =
   match t.instruments with
   | None -> ()
-  | Some i -> (
+  | Some i ->
     Tel.Metrics.set i.g_faults_in_force
       (float_of_int (Fault.Set.cardinal t.faults));
-    match t.stage1 with
-    | SPacked _ ->
-      Tel.Metrics.set i.g_utilization (utilization t);
-      Tel.Metrics.set i.g_input_utilization (input_utilization t);
-      Tel.Metrics.set i.g_active_routes (float_of_int t.n_routes);
-      Array.iteri
-        (fun j_minus1 g ->
-          Tel.Metrics.set g (float_of_int t.middle_occ.(j_minus1)))
-        i.g_stage1_occupancy
-    | SWide _ ->
-      let ports = float_of_int (Topology.num_ports t.topo * t.topo.k) in
-      Tel.Metrics.set i.g_utilization
-        (float_of_int (Eset.cardinal t.busy_dests) /. ports);
-      Tel.Metrics.set i.g_input_utilization
-        (float_of_int (Eset.cardinal t.busy_sources) /. ports);
-      Tel.Metrics.set i.g_active_routes
-        (float_of_int (Imap.cardinal t.routes));
-      Array.iteri
-        (fun j_minus1 g ->
-          let occ = ref 0 in
-          for input_switch = 1 to t.topo.r do
-            occ := !occ + stage1_used_count t ~input_switch ~middle:(j_minus1 + 1)
-          done;
-          Tel.Metrics.set g (float_of_int !occ))
-        i.g_stage1_occupancy)
+    Tel.Metrics.set i.g_utilization (utilization t);
+    Tel.Metrics.set i.g_input_utilization (input_utilization t);
+    Tel.Metrics.set i.g_active_routes (float_of_int t.n_routes);
+    Array.iteri
+      (fun j_minus1 g -> Tel.Metrics.set g (float_of_int t.middle_occ.(j_minus1)))
+      i.g_stage1_occupancy
 
 let error_cause = function
   | Invalid _ -> "invalid"
@@ -1291,16 +1131,30 @@ let disconnect t id =
     | Error _ -> ());
     result
 
-(* Re-mark exactly the resources of a previously released route (its
-   slots are known-free); used to roll back rearrangement attempts. *)
+(* Re-mark exactly the resources of a route whose slots should be free:
+   a rolled-back rearrangement victim, or a route read from a snapshot.
+   The latter is untrusted, so every index is range-checked (a flat
+   plane would otherwise alias another link) and a double-booked slot
+   is refused instead of silently shared. *)
 let readmit t (route : route) =
+  let bad what =
+    invalid_arg (Printf.sprintf "Network: route %d %s" route.id what)
+  in
+  let in_range hi x = x >= 1 && x <= hi in
+  let { Topology.m; r; k; _ } = t.topo in
+  let input_switch = route.input_switch in
+  if not (in_range r input_switch) then bad "leaves the topology";
   List.iter
     (fun { middle = j; stage1_wl; serves } ->
-      assert (not (slot_busy t.stage1 ~row:route.input_switch ~col:j ~wl:stage1_wl));
-      s1_occupy t ~input_switch:route.input_switch ~middle:j ~wl:stage1_wl;
+      if not (in_range m j && in_range k stage1_wl) then bad "leaves the topology";
+      if slot_busy t.stage1 ~row:input_switch ~col:j ~wl:stage1_wl then
+        bad "double-books a stage-1 slot";
+      s1_occupy t ~input_switch ~middle:j ~wl:stage1_wl;
       List.iter
         (fun (p, w2) ->
-          assert (not (slot_busy t.stage2 ~row:j ~col:p ~wl:w2));
+          if not (in_range r p && in_range k w2) then bad "leaves the topology";
+          if slot_busy t.stage2 ~row:j ~col:p ~wl:w2 then
+            bad "double-books a stage-2 slot";
           s2_occupy t ~middle:j ~out_switch:p ~wl:w2)
         serves)
     route.hops;
@@ -1392,19 +1246,11 @@ let find_route t id = Imap.find_opt id t.routes
 let destination_multiset t j =
   if j < 1 || j > t.topo.m then invalid_arg "Network.destination_multiset: bad middle";
   let ms = ref (Multiset.create ~r:t.topo.r ~k:t.topo.k) in
-  (match t.stage2 with
-  | SPacked { busy; _ } ->
-    Array.iteri
-      (fun p_minus1 plane ->
-        Bitops.iter_set ~width:t.topo.k
-          (fun _ -> ms := Multiset.add !ms (p_minus1 + 1))
-          plane)
-      busy.(j - 1)
-  | SWide { busy; _ } ->
-    Array.iteri
-      (fun p_minus1 plane ->
-        Array.iter (fun b -> if b then ms := Multiset.add !ms (p_minus1 + 1)) plane)
-      busy.(j - 1));
+  for p = 1 to t.topo.r do
+    for _ = 1 to slot_used_count t.stage2 ~row:j ~col:p do
+      ms := Multiset.add !ms p
+    done
+  done;
   !ms
 
 let destination_multiset_plane t ~middle ~wl =
@@ -1432,8 +1278,8 @@ let rebuild_fault_state t =
   t.failed_middles <- Iset.empty;
   t.failed_inputs <- Iset.empty;
   t.failed_outputs <- Iset.empty;
-  stage_reset_dead t.stage1;
-  stage_reset_dead t.stage2;
+  Array.fill t.stage1.dead 0 (Array.length t.stage1.dead) 0;
+  Array.fill t.stage2.dead 0 (Array.length t.stage2.dead) 0;
   t.dead_converters <- Pset.empty;
   Fault.Set.iter
     (function
@@ -1556,7 +1402,6 @@ type snapshot = {
   s_output_model : Model.t;
   s_x_limit : int;
   s_strategy : strategy;
-  s_link_impl : link_impl;
   s_rearrange_limit : int;
   s_next_id : int;
   s_routes : route list;
@@ -1570,7 +1415,6 @@ let snapshot t =
     s_output_model = t.output_model;
     s_x_limit = t.x_limit;
     s_strategy = t.strategy;
-    s_link_impl = t.impl;
     s_rearrange_limit = t.rearrange_limit;
     s_next_id = t.next_id;
     s_routes = Imap.bindings t.routes |> List.map snd;
@@ -1584,7 +1428,6 @@ let restore ?telemetry s =
         {
           Config.strategy = s.s_strategy;
           x_limit = Some s.s_x_limit;
-          link_impl = Some s.s_link_impl;
           rearrange_limit = s.s_rearrange_limit;
           telemetry;
         }
@@ -1615,8 +1458,8 @@ let restore ?telemetry s =
 let copy t =
   {
     t with
-    stage1 = copy_stage t.stage1;
-    stage2 = copy_stage t.stage2;
+    stage1 = copy_plane t.stage1;
+    stage2 = copy_plane t.stage2;
     middle_occ = Array.copy t.middle_occ;
     scratch_uncovered = Array.make t.topo.r 0;
     (* a snapshot is for speculative search (the adversary's what-ifs);

@@ -3,6 +3,9 @@
 
     A network instance tracks, per fiber link of Fig. 8, which of its
     [k] wavelengths are in use, plus the busy input/output endpoints.
+    Each stage's occupancy is one packed bitset for every [k]:
+    [ceil(k/62)] words per link, so first-free and coverage probes are
+    word operations, and a single word per link when [k <= 62].
     {!connect} admits one multicast connection using at most [x_limit]
     middle modules (the paper's routing strategy behind Theorems 1-2)
     and {!disconnect} releases it — the dynamic, any-sequence setting in
@@ -25,19 +28,6 @@
 open Wdm_core
 
 type construction = Msw_dominant | Maw_dominant
-
-type link_impl =
-  | Bitset
-      (** Pack each link's [k]-wavelength plane into one int bitmask
-          (bit [w-1] = wavelength [w]), so first-free / coverage probes
-          are single mask operations.  Requires [k <= 62].  Default
-          whenever it fits. *)
-  | Reference
-      (** The original bool-array planes and list-based selection.
-          Doubles as the fallback for [k > 62] and as the executable
-          specification: for any seeded workload both implementations
-          choose byte-identical routes (the equivalence property tests
-          pin this down). *)
 
 type strategy =
   | Min_intersection
@@ -107,9 +97,6 @@ module Config : sig
     x_limit : int option;
         (** [None]: the optimal [x] of the construction's nonblocking
             condition (Theorem 1 or 2) for the topology. *)
-    link_impl : link_impl option;
-        (** [None]: {!Bitset} when [k <= 62], {!Reference} otherwise.
-            Route choice is identical either way. *)
     rearrange_limit : int;
         (** Cap on how many existing connections
             {!connect_rearrangeable} will try to move aside for one
@@ -119,8 +106,8 @@ module Config : sig
   }
 
   val default : t
-  (** [Min_intersection], optimal [x_limit], auto [link_impl],
-      [rearrange_limit = 64], no telemetry. *)
+  (** [Min_intersection], optimal [x_limit], [rearrange_limit = 64], no
+      telemetry. *)
 end
 
 val create :
@@ -132,8 +119,8 @@ val create :
 (** [create ?config ~construction ~output_model topo] builds an empty
     network; [config] defaults to {!Config.default}, and overrides read
     as [{ Config.default with x_limit = Some 2 }].
-    @raise Invalid_argument for [Bitset] with [k > 62], or a
-    non-positive [x_limit] / [rearrange_limit].
+    @raise Invalid_argument for a non-positive [x_limit] /
+    [rearrange_limit], or an unknown [Named] strategy.
 
     When [config.telemetry] is set, the network is instrumented:
     {!connect}, {!connect_rearrangeable} and {!disconnect} feed
@@ -193,7 +180,8 @@ module Strategy : sig
 
   val covers : ctx -> middle:int -> int -> bool
   (** Whether [middle] can currently reach the given output module for
-      this request. *)
+      this request.
+      @raise Invalid_argument for a module index outside the topology. *)
 
   val occupancy : ctx -> middle:int -> int
   (** Busy first-stage slots into [middle] — the live load signal the
@@ -221,9 +209,10 @@ module Strategy : sig
   val names : unit -> string list
 
   val cover_in_order : ctx -> int list -> plan option
-  (** Greedy cover scanning middles in exactly the given order (the
-      first-fit kernel): the building block for ordering-based
-      strategies. *)
+  (** Greedy cover scanning middles in exactly the given order,
+      skipping unavailable ones: the kernel the [first-fit] built-in
+      runs over ascending indices, and the building block for
+      ordering-based strategies. *)
 end
 
 val strategy_of_string : string -> (strategy, string) result
@@ -238,7 +227,6 @@ val construction : t -> construction
 val output_model : t -> Model.t
 val x_limit : t -> int
 val strategy : t -> strategy
-val link_impl : t -> link_impl
 
 val connect : t -> Connection.t -> (route, error) result
 
@@ -316,7 +304,6 @@ type snapshot = {
   s_output_model : Model.t;
   s_x_limit : int;
   s_strategy : strategy;
-  s_link_impl : link_impl;
   s_rearrange_limit : int;
   s_next_id : int;  (** route-id allocator; ids are never reused *)
   s_routes : route list;  (** ascending id *)
@@ -327,16 +314,17 @@ val snapshot : t -> snapshot
 
 val restore : ?telemetry:Wdm_telemetry.Sink.t -> snapshot -> t
 (** A network behaviorally indistinguishable from the one {!snapshot}
-    captured: both {!Bitset} and {!Reference} planes are rebuilt by
-    re-marking each route's hops, the fault views by re-applying the
-    fault set, so any operation sequence applied to the restored
-    network chooses byte-identical routes (and ids) to the original
-    continuing uninterrupted.  [telemetry] instruments the restored
+    captured: the link planes are rebuilt by re-marking each route's
+    hops, the fault views by re-applying the fault set, so any
+    operation sequence applied to the restored network chooses
+    byte-identical routes (and ids) to the original continuing
+    uninterrupted.  [telemetry] instruments the restored
     network exactly as {!create} would — counters start at the sink's
     current values (history is not replayed into them), gauges are set
     to the restored state.
     @raise Invalid_argument on an inconsistent snapshot (fault indices
-    outside the topology, a route id at or above [s_next_id]). *)
+    outside the topology, a route id at or above [s_next_id], a hop
+    outside the topology, two routes on one link slot). *)
 
 (** {1 Fault injection}
 

@@ -61,7 +61,13 @@ let get_strategy r =
   | 3 -> Network.Named (get_string r)
   | t -> fail r (Printf.sprintf "unknown strategy tag %d" t)
 
-let link_impl_tag = function Network.Bitset -> 0 | Network.Reference -> 1
+(* The byte after the strategy is a format constant: the link-state tag
+   older networks wrote by default (0 while [k <= 62] fits one word per
+   link, 1 above), kept so snapshots and digests stay byte-identical.
+   The decoder accepts either value and ignores it. *)
+let link_state_tag (topo : Topology.t) =
+  if topo.Topology.k <= Wdm_core.Bitops.word_bits then 0 else 1
+
 let model_tag = function Model.MSW -> 0 | Model.MSDW -> 1 | Model.MAW -> 2
 
 let put_route b (route : Network.route) =
@@ -118,7 +124,7 @@ let encode_net_state (s : Network.snapshot) =
   Wire.put_u8 b (model_tag s.Network.s_output_model);
   Wire.put_u32 b s.Network.s_x_limit;
   put_strategy b s.Network.s_strategy;
-  Wire.put_u8 b (link_impl_tag s.Network.s_link_impl);
+  Wire.put_u8 b (link_state_tag topo);
   Wire.put_u32 b s.Network.s_rearrange_limit;
   Wire.put_int b s.Network.s_next_id;
   Wire.put_u32 b (List.length s.Network.s_routes);
@@ -132,9 +138,8 @@ let encode_net_state (s : Network.snapshot) =
    checks [m >= n], so one flipped bit in [m] would otherwise ask for
    gigabytes of link planes — an uncatchable out-of-memory, or a silent
    near-gigabyte allocation.  A plane holds [r * m] links of
-   [ceil(k / 62)] words each (packed bitset) or [k] words each (the
-   bool-array reference), once per stage for busy and dead slots.  Both
-   ceilings sit far above anything the tests, benches and CLI build:
+   [ceil(k / 62)] words each, once per stage for busy and dead slots.
+   Both ceilings sit far above anything the tests, benches and CLI build:
    the largest served fabric (N = 1024 at Theorem 1's m) is
    32 * 192 = 6,144 words per plane. *)
 let max_state_k = 4096
@@ -173,17 +178,10 @@ let decode_net_state_reader r : Network.snapshot =
   in
   let s_x_limit = Wire.get_u32 r in
   let s_strategy = get_strategy r in
-  let s_link_impl =
-    match Wire.get_u8 r with
-    | 0 -> Network.Bitset
-    | 1 -> Network.Reference
-    | t -> fail r (Printf.sprintf "unknown link impl tag %d" t)
-  in
-  let words_per_link =
-    match s_link_impl with
-    | Network.Bitset -> (k + 61) / 62 (* 62 slots per packed word *)
-    | Network.Reference -> k
-  in
+  (match Wire.get_u8 r with
+  | 0 | 1 -> ()
+  | t -> fail r (Printf.sprintf "unknown link impl tag %d" t));
+  let words_per_link = Wdm_core.Bitops.words_for k in
   if link_words ~r:rr ~m ~words_per_link > max_state_link_words then
     fail r
       (Printf.sprintf "implausible link-plane size (r=%d m=%d k=%d)" rr m k);
@@ -202,7 +200,6 @@ let decode_net_state_reader r : Network.snapshot =
     s_output_model;
     s_x_limit;
     s_strategy;
-    s_link_impl;
     s_rearrange_limit;
     s_next_id;
     s_routes;

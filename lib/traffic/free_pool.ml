@@ -7,7 +7,7 @@ open Wdm_core
    order) depend on that list, and seeded replay identity depends on
    the draws. *)
 
-let word_bits = 62
+let word_bits = Bitops.word_bits
 
 type t = {
   items : Endpoint.t array;
@@ -23,7 +23,7 @@ let create universe =
   Array.iteri (fun i e -> Hashtbl.replace pos e i) items;
   if Hashtbl.length pos <> n then
     invalid_arg "Free_pool.create: universe has duplicates";
-  let words = Array.make (max 1 ((n + word_bits - 1) / word_bits)) 0 in
+  let words = Array.make (max 1 (Bitops.words_for n)) 0 in
   for i = 0 to n - 1 do
     words.(i / word_bits) <- words.(i / word_bits) lor (1 lsl (i mod word_bits))
   done;

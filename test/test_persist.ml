@@ -227,10 +227,10 @@ let prop_op_roundtrip =
 
 (* --- network snapshot / restore ------------------------------------------ *)
 
-let make_net ?telemetry ~impl () =
-  let topo = Topology.make_exn ~n:3 ~m:8 ~r:3 ~k:2 in
+let make_net ?telemetry ?(k = 2) () =
+  let topo = Topology.make_exn ~n:3 ~m:8 ~r:3 ~k in
   Network.create
-    ~config:{ Network.Config.default with telemetry; link_impl = Some impl }
+    ~config:{ Network.Config.default with telemetry }
     ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
 
 let populate net =
@@ -252,8 +252,24 @@ let populate net =
   | [] -> ());
   ignore (Network.inject_fault net (Fault.Middle 2))
 
-let test_snapshot_restore impl () =
-  let net = make_net ~impl () in
+(* Byte offset of the snapshot's link-impl tag: n, m, r, k (u32 each),
+   the construction and model bytes, x_limit (u32), then the strategy,
+   one byte for the built-ins. *)
+let link_impl_tag_offset = 4 + 4 + 4 + 4 + 1 + 1 + 4 + 1
+
+let with_byte state off v =
+  let b = Bytes.of_string state in
+  Bytes.set_uint8 b off v;
+  Bytes.to_string b
+
+let restore_ok state =
+  match P.Backend.restore state with
+  | Ok (P.Backend.Net net) -> net
+  | Ok (P.Backend.Mesh _) -> Alcotest.fail "restored as a mesh"
+  | Error e -> Alcotest.fail ("snapshot refused: " ^ e)
+
+let test_snapshot_restore () =
+  let net = make_net () in
   populate net;
   let restored = Network.restore (Network.snapshot net) in
   Alcotest.(check int)
@@ -272,8 +288,35 @@ let test_snapshot_restore impl () =
   | Error _, Error _ -> ()
   | _ -> Alcotest.fail "restored network answered differently"
 
+(* A snapshot written at k <= 62 by a network configured for the old
+   bool-array reference representation carries link-impl tag 1 where
+   the default wrote 0.  The tag no longer selects anything: both
+   restore to the same routes and the same link state. *)
+let test_reference_tagged_snapshot () =
+  let net = make_net () in
+  populate net;
+  let tag0 = P.Backend.encode_state (P.Backend.Net net) in
+  Alcotest.(check int) "default writes tag 0" 0
+    (Char.code tag0.[link_impl_tag_offset]);
+  let from0 = restore_ok tag0 in
+  let from1 = restore_ok (with_byte tag0 link_impl_tag_offset 1) in
+  Alcotest.(check bool) "same routes" true
+    (Network.active_routes from0 = Network.active_routes from1);
+  let state t = Format.asprintf "%a" Network.pp_state t in
+  Alcotest.(check string) "same pp_state" (state from0) (state from1);
+  Alcotest.(check int) "re-encodes as tag 0" (P.Store.digest from0)
+    (P.Store.digest from1)
+
+let test_unknown_link_impl_tag () =
+  let net = make_net () in
+  populate net;
+  let state = P.Backend.encode_state (P.Backend.Net net) in
+  match P.Backend.restore (with_byte state link_impl_tag_offset 2) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "link-impl tag 2 restored"
+
 let test_restore_rejects_inconsistent () =
-  let net = make_net ~impl:Network.Bitset () in
+  let net = make_net () in
   populate net;
   let snap = Network.snapshot net in
   let bad = { snap with Network.s_next_id = 0 } in
@@ -290,7 +333,7 @@ let test_restore_rejects_inconsistent () =
      with Invalid_argument _ -> true)
 
 let test_state_codec_roundtrip () =
-  let net = make_net ~impl:Network.Reference () in
+  let net = make_net () in
   populate net;
   let snap = Network.snapshot net in
   let bytes = P.Store.encode_state snap in
@@ -315,14 +358,17 @@ let with_m state m =
 
 let test_restore_refuses_implausible_shape () =
   List.iter
-    (fun (r, impl) ->
+    (fun (r, tag) ->
       let net =
-        Network.create
-          ~config:{ Network.Config.default with link_impl = Some impl }
-          ~construction:Network.Msw_dominant ~output_model:Model.MSW
+        Network.create ~construction:Network.Msw_dominant
+          ~output_model:Model.MSW
           (Topology.make_exn ~n:32 ~m:192 ~r ~k:2)
       in
-      let state = P.Backend.encode_state (P.Backend.Net net) in
+      let state =
+        with_byte
+          (P.Backend.encode_state (P.Backend.Net net))
+          link_impl_tag_offset tag
+      in
       (match P.Backend.restore state with
       | Ok _ -> ()
       | Error e -> Alcotest.fail ("intact snapshot refused: " ^ e));
@@ -330,15 +376,101 @@ let test_restore_refuses_implausible_shape () =
       | Error _ -> ()
       | Ok _ ->
         Alcotest.fail (Printf.sprintf "flipped m restored at r=%d" r))
-    [ (32, Network.Bitset); (4, Network.Bitset); (4, Network.Reference) ];
+    [ (32, 0); (4, 0); (4, 1) ];
   (* a wavelength count past the ceiling is refused too *)
-  let net = make_net ~impl:Network.Reference () in
+  let net = make_net () in
   let state = P.Backend.encode_state (P.Backend.Net net) in
   let b = Bytes.of_string state in
   Bytes.set_int32_le b 12 (Int32.of_int 100_000);
   match P.Backend.restore (Bytes.to_string b) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "k = 100000 restored"
+
+(* --- state decoder mutation fuzz ------------------------------------------ *)
+
+(* Real snapshots to damage: a k = 2 fabric and a k = 130 one (three
+   words per link, routes on the top wavelengths) with routes, a
+   teardown and faults in force, and an nsf14 mesh with live trees. *)
+let fuzz_states () =
+  let narrow = make_net () in
+  populate narrow;
+  let wide = make_net ~k:130 () in
+  List.iter
+    (fun c -> ignore (Network.connect wide c))
+    [
+      conn (ep 1 130) [ ep 4 130; ep 7 130 ];
+      conn (ep 2 63) [ ep 5 63 ];
+      conn (ep 4 62) [ ep 2 62; ep 8 62 ];
+      conn (ep 9 1) [ ep 3 1 ];
+    ];
+  ignore (Network.disconnect wide 1);
+  ignore (Network.inject_fault wide (Fault.Middle 2));
+  ignore
+    (Network.inject_fault wide
+       (Fault.Stage1_laser { input = 1; middle = 3; wl = 100 }));
+  let mesh = Result.get_ok (Wdm_mesh.Mesh_network.create "nsf14") in
+  for i = 0 to 19 do
+    let wl = (i mod 8) + 1 in
+    ignore
+      (Wdm_mesh.Mesh_network.connect mesh
+         (conn (ep ((i mod 14) + 1) wl)
+            [ ep ((((i * 5) + 3) mod 14) + 1) wl;
+              ep ((((i * 5) + 10) mod 14) + 1) wl ]))
+  done;
+  [
+    ("k=2", P.Backend.encode_state (P.Backend.Net narrow));
+    ("k=130", P.Backend.encode_state (P.Backend.Net wide));
+    ("nsf14", P.Backend.encode_state (P.Backend.Mesh mesh));
+  ]
+
+(* In a restored fabric every hop lies inside the topology and no link
+   slot carries two routes: the packed planes are flat arrays, so an
+   out-of-range hop would alias another link's slot instead of failing. *)
+let check_hops label net =
+  let { Topology.m; r; k; _ } = Network.topology net in
+  let claimed = Hashtbl.create 64 in
+  let claim stage row col wl ~rows ~cols =
+    if row < 1 || row > rows || col < 1 || col > cols || wl < 1 || wl > k then
+      Alcotest.failf "%s: restored a hop outside the topology" label;
+    if Hashtbl.mem claimed (stage, row, col, wl) then
+      Alcotest.failf "%s: restored two routes on one slot" label;
+    Hashtbl.add claimed (stage, row, col, wl) ()
+  in
+  List.iter
+    (fun (route : Network.route) ->
+      List.iter
+        (fun (h : Network.hop) ->
+          claim 1 route.input_switch h.middle h.stage1_wl ~rows:r ~cols:m;
+          List.iter
+            (fun (p, w) -> claim 2 h.middle p w ~rows:m ~cols:r)
+            h.serves)
+        route.hops)
+    (Network.active_routes net)
+
+(* Overwrite 1-4 random bytes of each snapshot, a few thousand times
+   from a fixed seed: the decoder and restore must answer [Ok] or
+   [Error], never raise, and what they accept must pass [check_hops]. *)
+let test_state_mutation_fuzz () =
+  let rng = Random.State.make [| 0x5eed |] in
+  List.iter
+    (fun (label, state) ->
+      (match P.Backend.restore state with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: intact snapshot refused: %s" label e);
+      for _ = 1 to 2000 do
+        let b = Bytes.of_string state in
+        for _ = 1 to 1 + Random.State.int rng 4 do
+          Bytes.set_uint8 b
+            (Random.State.int rng (Bytes.length b))
+            (Random.State.int rng 256)
+        done;
+        match P.Backend.restore (Bytes.to_string b) with
+        | Ok (P.Backend.Net net) -> check_hops label net
+        | Ok (P.Backend.Mesh _) | Error _ -> ()
+        | exception e ->
+          Alcotest.failf "%s: restore raised %s" label (Printexc.to_string e)
+      done)
+    (fuzz_states ())
 
 (* --- wal ----------------------------------------------------------------- *)
 
@@ -432,7 +564,7 @@ let test_wal_policy_validation () =
 
 let test_store_session_and_recover () =
   let wal = "test_store_session.wal" in
-  let net = make_net ~impl:Network.Bitset () in
+  let net = make_net () in
   let store = P.Store.start ~wal net in
   let log_and_apply op =
     P.Store.log store op;
@@ -468,7 +600,7 @@ let test_store_session_and_recover () =
 
 let test_store_falls_back_to_older_snapshot () =
   let wal = "test_store_fallback.wal" in
-  let net = make_net ~impl:Network.Reference () in
+  let net = make_net () in
   let store = P.Store.start ~wal net in
   let log_and_apply op =
     P.Store.log store op;
@@ -523,16 +655,22 @@ let () =
         ] );
       ( "snapshot",
         [
-          Alcotest.test_case "restore (bitset)" `Quick
-            (test_snapshot_restore Network.Bitset);
+          Alcotest.test_case "restore (bitset)" `Quick test_snapshot_restore;
           Alcotest.test_case "restore (reference)" `Quick
-            (test_snapshot_restore Network.Reference);
+            test_reference_tagged_snapshot;
+          Alcotest.test_case "unknown link-impl tag refused" `Quick
+            test_unknown_link_impl_tag;
           Alcotest.test_case "rejects inconsistent" `Quick
             test_restore_rejects_inconsistent;
           Alcotest.test_case "state codec roundtrip" `Quick
             test_state_codec_roundtrip;
           Alcotest.test_case "refuses implausible shape" `Quick
             test_restore_refuses_implausible_shape;
+        ] );
+      ( "fuzz",
+        [
+          Alcotest.test_case "state decoders survive byte mutations" `Quick
+            test_state_mutation_fuzz;
         ] );
       ( "wal",
         [

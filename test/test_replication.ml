@@ -20,9 +20,9 @@ let conn src dests = Connection.make_exn ~source:src ~destinations:dests
    and must replicate. *)
 let topo = Topology.make_exn ~n:3 ~m:4 ~r:3 ~k:2
 
-let make_net ?telemetry impl =
+let make_net ?telemetry ?(topo = topo) () =
   Network.create
-    ~config:{ Network.Config.default with telemetry; link_impl = Some impl }
+    ~config:{ Network.Config.default with telemetry }
     ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
 
 let socket_path =
@@ -190,13 +190,13 @@ let test_follower_catches_up () =
   let follower_sink = Tel.Sink.create () in
   let leader =
     Srv.Server.start ~telemetry:leader_sink ~digest_every:32
-      ~net:(make_net Network.Bitset) (sock ())
+      ~net:(make_net ()) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop leader) @@ fun () ->
   let follower =
     Srv.Server.start ~telemetry:follower_sink
       ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
-      ~net:(make_net Network.Bitset) (sock ())
+      ~net:(make_net ()) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop follower) @@ fun () ->
   Alcotest.(check bool) "follower role" true
@@ -262,7 +262,7 @@ let test_slow_follower_eviction () =
   let sink = Tel.Sink.create () in
   let srv =
     Srv.Server.start ~telemetry:sink ~outbox_capacity:8 ~conn_sndbuf:4096
-      ~net:(make_net Network.Bitset) (sock ())
+      ~net:(make_net ()) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop srv) @@ fun () ->
   let path =
@@ -340,12 +340,12 @@ let test_follower_dials_late_and_redials () =
   let follower =
     Srv.Server.start ~telemetry:follower_sink
       ~follower:{ Srv.Server.leader = addr; wal = None }
-      ~net:(make_net Network.Bitset) (sock ())
+      ~net:(make_net ()) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop follower) @@ fun () ->
   (* a few dials against nothing *)
   Thread.delay 0.15;
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   let leader = Srv.Server.start ~net addr in
   let leader_up = ref true in
   Fun.protect ~finally:(fun () -> if !leader_up then Srv.Server.stop leader)
@@ -427,7 +427,7 @@ let test_follower_resyncs_on_damaged_snapshot () =
   let follower =
     Srv.Server.start ~telemetry:sink
       ~follower:{ Srv.Server.leader = Srv.Server.Unix_socket path; wal = None }
-      ~net:(make_net Network.Bitset) (sock ())
+      ~net:(make_net ()) (sock ())
   in
   Fun.protect
     ~finally:(fun () ->
@@ -519,7 +519,7 @@ let test_store_resume_continues_wal () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let wal = Filename.concat dir "resume.wal" in
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   let store = P.Store.start ~wal net in
   let log op =
     ignore (P.Op.apply net op);
@@ -594,7 +594,7 @@ let test_wal_truncate_fsyncs_the_cut () =
 
 let test_failover_preserves_state () =
   (* reference: the same seeded churn, one process, no failover *)
-  let ref_net = make_net Network.Bitset in
+  let ref_net = make_net () in
   let ref_sum = ref 0 in
   let ref_stats =
     run_churn ~sink:(Tel.Sink.create ()) (inproc_sut ref_net ref_sum)
@@ -602,12 +602,12 @@ let test_failover_preserves_state () =
   let ref_digest = P.Store.digest ref_net in
   (* system under test: leader + follower, leader dies mid-run *)
   let leader =
-    Srv.Server.start ~digest_every:16 ~net:(make_net Network.Bitset) (sock ())
+    Srv.Server.start ~digest_every:16 ~net:(make_net ()) (sock ())
   in
   let follower =
     Srv.Server.start
       ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
-      ~net:(make_net Network.Bitset) (sock ())
+      ~net:(make_net ()) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop follower) @@ fun () ->
   let rc =
@@ -677,7 +677,7 @@ let test_follower_wal_resume () =
   let wal = Filename.concat dir "follower.wal" in
   let leader_sink = Tel.Sink.create () in
   let leader =
-    Srv.Server.start ~telemetry:leader_sink ~net:(make_net Network.Bitset)
+    Srv.Server.start ~telemetry:leader_sink ~net:(make_net ())
       (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop leader) @@ fun () ->
@@ -685,7 +685,7 @@ let test_follower_wal_resume () =
     { Srv.Server.leader = Srv.Server.address leader; wal = Some wal }
   in
   let follower =
-    Srv.Server.start ~follower:follower_cfg ~net:(make_net Network.Bitset)
+    Srv.Server.start ~follower:follower_cfg ~net:(make_net ())
       (sock ())
   in
   (* phase 1: commit some ops, let the follower persist them *)
@@ -713,7 +713,7 @@ let test_follower_wal_resume () =
      resume, not a snapshot *)
   let snapshots_before = counter_of leader_sink "repl_snapshots_sent_total" in
   let follower2 =
-    Srv.Server.start ~follower:follower_cfg ~net:(make_net Network.Bitset)
+    Srv.Server.start ~follower:follower_cfg ~net:(make_net ())
       (sock ())
   in
   Fun.protect

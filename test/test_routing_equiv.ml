@@ -1,10 +1,11 @@
-(* The bitset link-state implementation is an optimization, not a
-   behaviour change: for any seeded workload it must pick byte-identical
-   routes to the retained bool-array reference implementation.  These
-   tests drive both implementations in lockstep through churn with
-   faults in force, and pin the supporting data structures (Bitops,
-   Event_heap, Free_pool) against naive references.  Also here: the
-   fault-counter reconciliation and run_timed gauge-reset regressions. *)
+(* The packed link planes against the independent bool-array model in
+   [Oracle]: seeded churn with faults in force, on one-, two- and
+   three-word planes, must route exactly as the oracle predicts from
+   each pre-op state, and every state the network reports must match a
+   rebuild from its routes.  Also here: the supporting data structures
+   (Bitops, Event_heap, Free_pool) against naive references, and the
+   fault-counter reconciliation and run_timed gauge-reset
+   regressions. *)
 
 open Wdm_core
 open Wdm_multistage
@@ -125,86 +126,76 @@ let test_free_pool () =
     (Invalid_argument "Free_pool: endpoint outside the universe")
     (fun () -> Free_pool.remove pool (Endpoint.make ~port:99 ~wl:1))
 
-(* --- lockstep equivalence: Bitset vs Reference -------------------------- *)
+(* --- lockstep against the oracle ------------------------------------- *)
 
-(* A faulty_sut that applies every operation to both networks and fails
-   the test on any observable divergence. *)
-let lockstep_sut ta tb =
-  let check_routes label (ra : Network.route) (rb : Network.route) =
-    if ra <> rb then
-      Alcotest.failf "%s diverged:@.bitset    %a@.reference %a" label
-        Network.pp_route ra Network.pp_route rb
+(* A faulty_sut that, before every operation, rebuilds the test oracle
+   from the network's state, predicts the outcome, applies the operation
+   to the network and fails on any divergence: a different route or
+   refusal, different fault victims, or a network state the prediction
+   does not reproduce.  After every operation the network's reported
+   link state and gauges are audited against a fresh rebuild. *)
+let lockstep_sut ~sink t =
+  let after o =
+    Oracle.agrees o t;
+    Oracle.audit ~sink t
   in
-  let connect_both via c =
-    match (via ta c, via tb c) with
-    | Ok (ra : Network.route), Ok rb ->
-      check_routes "route" ra rb;
-      Ok ra.Network.id
-    | Error ea, Error eb ->
-      let s e = Format.asprintf "%a" Network.pp_error e in
-      Alcotest.(check string) "same error" (s ea) (s eb);
-      Error ea
-    | Ok ra, Error eb ->
-      Alcotest.failf "bitset admitted %a, reference blocked with %a"
-        Network.pp_route ra Network.pp_error eb
-    | Error ea, Ok rb ->
-      Alcotest.failf "reference admitted %a, bitset blocked with %a"
-        Network.pp_route rb Network.pp_error ea
+  (* [route_of] picks the admitted route out of either connect flavour;
+     outcomes compare structurally, rearrangement move counts included *)
+  let predict_connect via predict route_of c =
+    let o = Oracle.of_network t in
+    let predicted = predict o c in
+    let actual = via t c in
+    let show = function
+      | Ok v -> Format.asprintf "%a" Network.pp_route (route_of v)
+      | Error e -> Network.Error.to_string e
+    in
+    if predicted <> actual then
+      Alcotest.failf "%a:@.library %s@.oracle  %s" Connection.pp c
+        (show actual) (show predicted);
+    after o;
+    Result.map (fun v -> (route_of v).Network.id) actual
   in
   {
     Churn.base =
       {
-        Churn.connect = connect_both Network.connect;
+        Churn.connect = predict_connect Network.connect Oracle.connect Fun.id;
         disconnect =
           (fun id ->
-            ignore (Network.disconnect ta id);
-            ignore (Network.disconnect tb id));
+            ignore (Network.disconnect t id);
+            Oracle.audit ~sink t);
       };
     inject =
       (fun f ->
-        let va = Network.inject_fault ta f and vb = Network.inject_fault tb f in
-        Alcotest.(check int)
-          (Format.asprintf "victims of %a" Fault.pp f)
-          (List.length va) (List.length vb);
-        if va <> vb then
-          Alcotest.failf "victim sets of %s diverged" (Fault.to_string f);
-        va);
+        let o = Oracle.of_network t in
+        let victims = Network.inject_fault t f in
+        if victims <> Oracle.fault_victims o f then
+          Alcotest.failf "victims of %s diverged" (Fault.to_string f);
+        Oracle.audit ~sink t;
+        victims);
     clear =
       (fun f ->
-        Network.clear_fault ta f;
-        Network.clear_fault tb f);
+        Network.clear_fault t f;
+        Oracle.audit ~sink t);
     reconnect =
       (fun c ->
-        match (Network.connect_rearrangeable ta c, Network.connect_rearrangeable tb c) with
-        | Ok (ra, ma), Ok (rb, mb) ->
-          check_routes "rearranged route" ra rb;
-          Alcotest.(check int) "moves" ma mb;
-          Ok ra.Network.id
-        | Error ea, Error _ -> Error ea
-        | _ -> Alcotest.fail "rearrangement admit/deny diverged")
+        predict_connect Network.connect_rearrangeable
+          Oracle.connect_rearrangeable fst c);
   }
 
 let run_lockstep ~seed ~construction ~output_model ~strategy ~n ~m ~r ~k =
   let topo = Topology.make_exn ~n ~m ~r ~k in
-  let ta =
+  let sink = Tel.Sink.create () in
+  let t =
     Network.create
-      ~config:
-        { Network.Config.default with strategy;
-          link_impl = Some Network.Bitset }
-      ~construction ~output_model topo
-  and tb =
-    Network.create
-      ~config:
-        { Network.Config.default with strategy;
-          link_impl = Some Network.Reference }
+      ~config:{ Network.Config.default with strategy; telemetry = Some sink }
       ~construction ~output_model topo
   in
-  Alcotest.(check bool) "impls differ" true
-    (Network.link_impl ta <> Network.link_impl tb);
+  (* the laser faults in the universe grow with k; so does the mean time
+     between failures, keeping the fault rate near the k = 2 one *)
   let schedule =
     Schedule.generate ~rng:(rng (seed + 1000))
       ~universe:(Fault.universe ~m ~r ~k)
-      ~mtbf:120. ~mttr:60. ~steps:400
+      ~mtbf:(60. *. float_of_int k) ~mttr:60. ~steps:400
     |> List.map (fun { Schedule.step; action } ->
            match action with
            | Schedule.Inject f -> (step, `Inject f)
@@ -214,58 +205,62 @@ let run_lockstep ~seed ~construction ~output_model ~strategy ~n ~m ~r ~k =
     Churn.run_with_faults (rng seed)
       ~spec:(Topology.spec topo) ~model:output_model
       ~fanout:(Fanout.Uniform (1, r))
-      ~steps:400 ~teardown_bias:0.4 ~schedule (lockstep_sut ta tb)
+      ~steps:400 ~teardown_bias:0.4 ~schedule (lockstep_sut ~sink t)
   in
   (* the workload must actually exercise the interesting paths *)
   Alcotest.(check bool) "some accepts" true (s.Churn.churn.Churn.accepted > 0);
-  (* and the final states must agree wholesale *)
-  let final t = Format.asprintf "%a" Network.pp_state t in
-  Alcotest.(check string) "final state" (final tb) (final ta);
-  Alcotest.(check bool) "final routes" true
-    (Network.active_routes ta = Network.active_routes tb);
   s
 
-let test_lockstep_msw () =
+(* k = 2 fits one word per link, k = 63 is the first width that needs a
+   second, and k = 130 spans three words with a partial last one. *)
+let lockstep_over_k ~construction ~output_model ~strategy ~m =
   let exercised_faults = ref false in
-  for seed = 1 to 6 do
-    let s =
-      run_lockstep ~seed ~construction:Network.Msw_dominant
-        ~output_model:Model.MSW ~strategy:Network.Min_intersection ~n:3 ~m:6
-        ~r:3 ~k:2
-    in
-    if s.Churn.injected > 0 then exercised_faults := true
-  done;
+  List.iter
+    (fun (k, seeds) ->
+      List.iter
+        (fun seed ->
+          let s =
+            run_lockstep ~seed ~construction ~output_model ~strategy ~n:3 ~m
+              ~r:3 ~k
+          in
+          if s.Churn.injected > 0 then exercised_faults := true)
+        seeds)
+    [ (2, [ 1; 2; 3; 4; 5; 6 ]); (63, [ 1; 2 ]); (130, [ 1; 2 ]) ];
   Alcotest.(check bool) "faults were in force" true !exercised_faults
+
+let test_lockstep_msw () =
+  lockstep_over_k ~construction:Network.Msw_dominant ~output_model:Model.MSW
+    ~strategy:Network.Min_intersection ~m:6
 
 let test_lockstep_maw () =
-  let exercised_faults = ref false in
-  for seed = 1 to 6 do
-    let s =
-      run_lockstep ~seed ~construction:Network.Maw_dominant
-        ~output_model:Model.MAW ~strategy:Network.First_fit ~n:3 ~m:5 ~r:3 ~k:2
-    in
-    if s.Churn.injected > 0 then exercised_faults := true
-  done;
-  Alcotest.(check bool) "faults were in force" true !exercised_faults
+  lockstep_over_k ~construction:Network.Maw_dominant ~output_model:Model.MAW
+    ~strategy:Network.First_fit ~m:5
 
-(* Static spot-check on a wider-than-62-wavelength fabric: the packed
-   representation is refused and the wide fallback engages. *)
+(* Past one word per link: a k = 63 fabric builds, routes on
+   wavelength 63, whose bit sits alone in each link's second word, next
+   to wavelength 1 in the first, and agrees with the oracle throughout. *)
 let test_wide_k_fallback () =
   let topo = Topology.make_exn ~n:2 ~m:4 ~r:2 ~k:63 in
+  let sink = Tel.Sink.create () in
   let t =
-    Network.create ~construction:Network.Maw_dominant ~output_model:Model.MAW
-      topo
+    Network.create
+      ~config:{ Network.Config.default with telemetry = Some sink }
+      ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
   in
-  Alcotest.(check bool) "falls back to reference" true
-    (Network.link_impl t = Network.Reference);
-  Alcotest.check_raises "packed refused"
-    (Invalid_argument "Network.create: Bitset link state needs k <= 62")
-    (fun () ->
-      ignore
-        (Network.create
-           ~config:
-             { Network.Config.default with link_impl = Some Network.Bitset }
-           ~construction:Network.Maw_dominant ~output_model:Model.MAW topo))
+  let sut = lockstep_sut ~sink t in
+  let admit c =
+    match sut.Churn.base.Churn.connect c with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "refused: %a" Network.pp_error e
+  in
+  let ep port wl = Endpoint.make ~port ~wl in
+  let conn src dests = Connection.make_exn ~source:src ~destinations:dests in
+  admit (conn (ep 1 63) [ ep 3 63; ep 4 63 ]);
+  admit (conn (ep 2 1) [ ep 1 1; ep 3 1 ]);
+  Alcotest.(check int) "both words of one link in use" 2
+    (Network.stage1_in_use t ~input_switch:1 ~middle:1);
+  Alcotest.(check int) "M_1 counts both planes" 2
+    (Multiset.multiplicity (Network.destination_multiset t 1) 2)
 
 (* --- fault-counter reconciliation (duplicate injections) ----------------- *)
 

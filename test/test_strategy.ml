@@ -1,12 +1,12 @@
 (* The routing-strategy plug-in API: seeded-lockstep equivalence of the
-   registered built-ins against their enum twins, plan validation,
-   registry surface, and the offline batch optimizers.
+   registered built-ins against their enum twins, plan validation, and
+   the registry surface.
 
    The lockstep property is the redesign's acceptance bar: a network
    built with [Named "<builtin>"] must route byte-identically to one
    built with the enum constructor — same routes, same refusals, same
    persisted digest — over a 600-op mixed setup/teardown workload, on
-   both link implementations.  The codec canonicalizes named built-ins
+   one-word (k = 2) and two-word (k = 64) link planes.  The codec canonicalizes named built-ins
    onto the enum tags, so digest equality covers the wire format too. *)
 
 open Wdm_core
@@ -17,7 +17,6 @@ module Assign = Wdm_mesh.Assign
 module Churn = Wdm_traffic.Churn
 module Erlang = Wdm_traffic.Erlang
 module Backend = Wdm_persist.Backend
-module Optimizer = Wdm_lab.Optimizer
 module Strategy = Wdm_core.Strategy
 
 let ep p w = Endpoint.make ~port:p ~wl:w
@@ -29,14 +28,13 @@ let ep p w = Endpoint.make ~port:p ~wl:w
    identically iff their traces and final digests are equal — and
    because the churn generator only diverges after the first differing
    outcome, trace equality really does pin every decision. *)
-let multistage_trace ~strategy ~link_impl ~steps =
+let multistage_trace ?(k = 2) ~strategy ~steps () =
   (* m=5 is below the nonblocking bound, so the workload genuinely
      exercises refusals and the trace equality is not vacuous *)
-  let topo = Topology.make_exn ~n:4 ~m:5 ~r:4 ~k:2 in
+  let topo = Topology.make_exn ~n:4 ~m:5 ~r:4 ~k in
   let net =
     Network.create
-      ~config:
-        { Network.Config.default with strategy; link_impl = Some link_impl }
+      ~config:{ Network.Config.default with strategy }
       ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
   in
   let trace = Buffer.create 4096 in
@@ -66,22 +64,19 @@ let multistage_trace ~strategy ~link_impl ~steps =
 
 let test_multistage_lockstep () =
   List.iter
-    (fun link_impl ->
+    (fun k ->
+      (* 32 times the endpoints at k = 64: a longer churn fills the
+         wavelength planes far enough to refuse *)
+      let steps = if k = 2 then 600 else 3000 in
       List.iter
         (fun (enum, name) ->
           let tr_enum, dg_enum, st_enum =
-            multistage_trace ~strategy:enum ~link_impl ~steps:600
+            multistage_trace ~k ~strategy:enum ~steps ()
           in
           let tr_named, dg_named, st_named =
-            multistage_trace ~strategy:(Network.Named name) ~link_impl
-              ~steps:600
+            multistage_trace ~k ~strategy:(Network.Named name) ~steps ()
           in
-          let label =
-            Printf.sprintf "%s/%s" name
-              (match link_impl with
-              | Network.Bitset -> "bitset"
-              | Network.Reference -> "reference")
-          in
+          let label = Printf.sprintf "%s/k=%d" name k in
           Alcotest.(check string) (label ^ " trace") tr_enum tr_named;
           Alcotest.(check int) (label ^ " digest") dg_enum dg_named;
           Alcotest.(check int)
@@ -96,7 +91,7 @@ let test_multistage_lockstep () =
           (Network.Min_intersection, "min-intersection");
           (Network.First_fit, "first-fit");
         ])
-    [ Network.Bitset; Network.Reference ]
+    [ 2; 64 ]
 
 (* ----- mesh lockstep --------------------------------------------------- *)
 
@@ -184,6 +179,28 @@ let test_registry () =
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown Named accepted by create");
+  (* a plug-in probing a middle past [m] is refused, not answered from
+     whichever link the packed plane would alias *)
+  Network.Strategy.register
+    {
+      name = "probe-past-m";
+      doc = "asks about a middle outside the fabric";
+      select =
+        (fun c ->
+          ignore
+            (Network.Strategy.covers c ~middle:(Network.Strategy.middles c + 1) 1);
+          None);
+    };
+  (match
+     Network.connect
+       (Network.create
+          ~config:
+            { Network.Config.default with strategy = Network.Named "probe-past-m" }
+          ~construction:Network.Msw_dominant ~output_model:Model.MSW topo)
+       (Connection.make_exn ~source:(ep 1 1) ~destinations:[ ep 3 1 ])
+   with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "out-of-range covers answered");
   match
     Mesh.create
       ~config:
@@ -222,10 +239,12 @@ let test_named_roundtrip () =
    rebuilding the network and replaying the same ops reproduces routes
    exactly — the WAL-replay contract. *)
 let test_annealed_deterministic () =
-  let tr1, dg1, _ = multistage_trace ~strategy:(Network.Named "annealed")
-      ~link_impl:Network.Bitset ~steps:400 in
-  let tr2, dg2, _ = multistage_trace ~strategy:(Network.Named "annealed")
-      ~link_impl:Network.Bitset ~steps:400 in
+  let tr1, dg1, _ =
+    multistage_trace ~strategy:(Network.Named "annealed") ~steps:400 ()
+  in
+  let tr2, dg2, _ =
+    multistage_trace ~strategy:(Network.Named "annealed") ~steps:400 ()
+  in
   Alcotest.(check string) "trace" tr1 tr2;
   Alcotest.(check int) "digest" dg1 dg2;
   let mtr1, mdg1, _ = mesh_trace ~strategy:(Assign.Named "annealed") ~arrivals:400 in
@@ -238,64 +257,14 @@ let test_annealed_deterministic () =
    better. *)
 let test_crosstalk_decorator () =
   let _, _, base =
-    multistage_trace ~strategy:(Network.Named "min-intersection")
-      ~link_impl:Network.Bitset ~steps:600
+    multistage_trace ~strategy:(Network.Named "min-intersection") ~steps:600 ()
   in
   let _, _, gated =
     multistage_trace ~strategy:(Network.Named "crosstalk:min-intersection:25")
-      ~link_impl:Network.Bitset ~steps:600
+      ~steps:600 ()
   in
   Alcotest.(check bool) "tighter budget blocks at least as much" true
     (gated.Churn.blocked >= base.Churn.blocked)
-
-(* ----- offline batch optimizers ---------------------------------------- *)
-
-(* Admit the batch in candidate order into a fresh undersized fabric;
-   the score is the number of requests that fit. *)
-let batch_score batch order =
-  let topo = Topology.make_exn ~n:4 ~m:6 ~r:4 ~k:2 in
-  let net =
-    Network.create ~construction:Network.Msw_dominant ~output_model:Model.MSW
-      topo
-  in
-  List.fold_left
-    (fun acc i ->
-      match Network.connect net (List.nth batch i) with
-      | Ok _ -> acc + 1
-      | Error _ -> acc)
-    0 order
-
-let make_batch () =
-  (* heavy multicasts first in arrival order: a deliberately bad order
-     the optimizers can improve on *)
-  let rng = Random.State.make [| 99 |] in
-  List.init 24 (fun i ->
-      let src = 1 + ((i * 5) mod 16) in
-      let f = if i < 8 then 6 else 1 + Random.State.int rng 3 in
-      let dests =
-        List.init f (fun j -> ep (1 + ((src + (3 * j)) mod 16)) 1)
-      in
-      Connection.make_exn ~source:(ep src 1) ~destinations:dests)
-
-let test_optimizer () =
-  let batch = make_batch () in
-  let n = List.length batch in
-  let score = batch_score batch in
-  let identity_score = score (List.init n (fun i -> i)) in
-  let a1 = Optimizer.anneal ~seed:7 ~score n in
-  let a2 = Optimizer.anneal ~seed:7 ~score n in
-  Alcotest.(check bool) "anneal deterministic" true (a1 = a2);
-  Alcotest.(check bool) "anneal is a permutation" true
-    (List.sort compare a1.Optimizer.order = List.init n (fun i -> i));
-  Alcotest.(check bool) "anneal >= arrival order" true
-    (a1.Optimizer.score >= identity_score);
-  let g1 = Optimizer.evolve ~seed:7 ~score n in
-  let g2 = Optimizer.evolve ~seed:7 ~score n in
-  Alcotest.(check bool) "evolve deterministic" true (g1 = g2);
-  Alcotest.(check bool) "evolve is a permutation" true
-    (List.sort compare g1.Optimizer.order = List.init n (fun i -> i));
-  Alcotest.(check bool) "evolve >= arrival order" true
-    (g1.Optimizer.score >= identity_score)
 
 (* ----- shared deterministic RNG ---------------------------------------- *)
 
@@ -331,7 +300,6 @@ let () =
             test_annealed_deterministic;
           Alcotest.test_case "crosstalk budget only tightens" `Quick
             test_crosstalk_decorator;
-          Alcotest.test_case "batch optimizers" `Quick test_optimizer;
           Alcotest.test_case "det rng" `Quick test_det_rng;
         ] );
     ]
