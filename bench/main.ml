@@ -652,10 +652,10 @@ let routing_throughput ~quick () =
     rearrangement_latency
       ~iters:(if quick then 100 else 1000)
       [
-        (3, 1, 3, Network.Min_intersection, "min_intersection");
-        (3, 1, 3, Network.First_fit, "first_fit");
-        (4, 2, 8, Network.Min_intersection, "min_intersection");
-        (4, 2, 8, Network.First_fit, "first_fit");
+        (3, 1, 3, "min-intersection", "min_intersection");
+        (3, 1, 3, "first-fit", "first_fit");
+        (4, 2, 8, "min-intersection", "min_intersection");
+        (4, 2, 8, "first-fit", "first_fit");
       ]
   in
   List.iter
@@ -1388,9 +1388,7 @@ let mesh_blocking_bench ~quick () =
                    J.Obj
                      [
                        ("topo", J.String c.Campaign.topo);
-                       ( "strategy",
-                         J.String (Assign.strategy_to_string c.Campaign.strategy)
-                       );
+                       ("strategy", J.String c.Campaign.strategy);
                        ("erlangs", J.Float p.Wdm_traffic.Erlang.offered_erlangs);
                        ("arrivals", J.Int p.Wdm_traffic.Erlang.arrivals);
                        ("accepted", J.Int p.Wdm_traffic.Erlang.accepted);
@@ -1407,10 +1405,11 @@ let mesh_blocking_bench ~quick () =
 
 module Lab_compare = Wdm_lab.Compare
 
-(* Every registered lab strategy raced over identical per-workload
-   seeded traffic on both engines — the acceptance table for the
-   routing-strategy plug-in API.  The per-cell RNG never sees the
-   strategy, so any cell reproduces on its own. *)
+(* Every registered lab strategy raced from one seed per workload on
+   both engines — the acceptance table for the routing-strategy plug-in
+   API.  The per-cell RNG never sees the strategy, so any cell
+   reproduces on its own (and mesh cells in a row see identical
+   traffic; churn cells only share the seed). *)
 let strategy_compare_bench ~quick () =
   section "Strategy racing (plug-in lab)";
   let spec = if quick then Lab_compare.quick else Lab_compare.default in

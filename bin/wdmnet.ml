@@ -141,6 +141,14 @@ let csv_arg =
 
 let emit csv table = print_string (if csv then An.Table.to_csv table else An.Table.render table)
 
+(* A strategy name the engine's registry resolves ([find] is
+   [Network.Strategy.find] or [Mesh_assign.find_plugin]), or exit 2 with
+   the registry's "unknown strategy" message. *)
+let check_strategy find s =
+  match find s with
+  | Ok _ -> s
+  | Error e -> prerr_endline ("wdmnet: " ^ e); exit 2
+
 let check_dims n k =
   if n < 1 || k < 1 then begin
     prerr_endline "wdmnet: N and K must be >= 1";
@@ -300,10 +308,7 @@ let simulate_cmd =
     let strategy =
       match strategy with
       | None -> Network.Config.default.Network.Config.strategy
-      | Some s -> (
-        match Network.strategy_of_string s with
-        | Ok s -> s
-        | Error e -> prerr_endline ("wdmnet: " ^ e); exit 2)
+      | Some s -> check_strategy Network.Strategy.find s
     in
     let eval =
       match construction with
@@ -320,7 +325,7 @@ let simulate_cmd =
         ~config:{ Network.Config.default with telemetry; strategy }
         ~construction ~output_model:model topo
     in
-    Format.printf "strategy: %a\n" Network.pp_strategy strategy;
+    Format.printf "strategy: %s\n" strategy;
     let sut =
       {
         Wdm_traffic.Churn.connect =
@@ -1022,12 +1027,8 @@ let serve_cmd =
       match mesh with
       | Some topo_name ->
         let strat =
-          match
-            Mesh_assign.strategy_of_string
-              (Option.value ~default:"first-fit" strategy)
-          with
-          | Ok s -> s
-          | Error e -> prerr_endline ("wdmnet: " ^ e); exit 2
+          Option.value ~default:Mesh.Config.default.Mesh.Config.strategy
+            strategy
         in
         let config =
           { Mesh.Config.default with Mesh.Config.k; strategy = strat }
@@ -1041,7 +1042,7 @@ let serve_cmd =
               Format.printf
                 "mesh %s: %d nodes, %d links, %d wavelengths, %s@." topo_name
                 (Wdm_mesh.Graph.n g) (Wdm_mesh.Graph.m g) k
-                (Mesh_assign.strategy_to_string strat) ))
+                strat ))
       | None ->
         let eval =
           match construction with
@@ -1053,10 +1054,7 @@ let serve_cmd =
         let strat =
           match strategy with
           | None -> Network.Config.default.Network.Config.strategy
-          | Some s -> (
-            match Network.strategy_of_string s with
-            | Ok s -> s
-            | Error e -> prerr_endline ("wdmnet: " ^ e); exit 2)
+          | Some s -> check_strategy Network.Strategy.find s
         in
         let net =
           Network.create
@@ -1209,7 +1207,7 @@ let client_cmd =
     (match strategy with
     | None -> ()
     | Some s -> (
-      match (Network.strategy_of_string s, Mesh_assign.strategy_of_string s) with
+      match (Network.Strategy.find s, Mesh_assign.find_plugin s) with
       | Error _, Error e -> prerr_endline ("wdmnet: " ^ e); exit 2
       | _ -> Printf.printf "strategy under test: %s\n" s));
     let addrs = match connect with [] -> [ default_address ] | l -> l in
@@ -1676,12 +1674,7 @@ let mesh_cmd =
       match strategy with Some s -> [ s ] | None -> strategies
     in
     let strategies =
-      List.map
-        (fun s ->
-          match Mesh_assign.strategy_of_string s with
-          | Ok s -> s
-          | Error e -> prerr_endline ("wdmnet: " ^ e); exit 2)
-        strategies
+      List.map (check_strategy Mesh_assign.find_plugin) strategies
     in
     let splitters =
       match parse_splitters splitters with
@@ -1760,9 +1753,7 @@ let mesh_cmd =
                          [
                            ("topo", J.String c.Campaign.topo);
                            ( "strategy",
-                             J.String
-                               (Mesh_assign.strategy_to_string
-                                  c.Campaign.strategy) );
+                             J.String c.Campaign.strategy );
                            ( "erlangs",
                              J.Float p.Wdm_traffic.Erlang.offered_erlangs );
                            ("arrivals", J.Int p.Wdm_traffic.Erlang.arrivals);
@@ -1803,8 +1794,9 @@ let compare_cmd =
   let seed_arg =
     Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED"
            ~doc:"Campaign seed; per-cell RNGs derive from it and the \
-                 workload index only, so every strategy races the same \
-                 traffic and any cell is reproducible on its own.")
+                 workload index only, so every strategy of a mesh \
+                 workload races the same traffic and any cell is \
+                 reproducible on its own.")
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ]
@@ -1865,11 +1857,13 @@ let compare_cmd =
   in
   Cmd.v
     (Cmd.info "compare"
-       ~doc:"Race routing strategies over identical seeded traffic on both \
+       ~doc:"Race routing strategies from one seed per workload on both \
              engines: multistage churn workloads and mesh Erlang workloads, \
              one blocking/latency row per (workload, strategy) cell.  The \
-             per-cell RNG never sees the strategy, so cells in a row \
-             differ only by the routing decisions under test.")
+             per-cell RNG never sees the strategy.  Mesh arrivals ignore \
+             admissions, so cells in a mesh row face identical traffic; \
+             churn setups and teardowns follow the admitted routes, so \
+             churn cells share only the seed and the step count.")
     Term.(const run $ strategies_arg $ seed_arg $ quick_arg $ json_arg)
 
 (* --- deep (recursive designs) ---------------------------------------------- *)

@@ -21,11 +21,18 @@ struct
     | Some _ as p -> p
     | None -> List.find_map (fun f -> f name) !parsers
 
-  let mem name = resolve name <> None
-
   let names () =
     Hashtbl.fold (fun name _ acc -> name :: acc) table []
     |> List.sort String.compare
+
+  let find name =
+    match resolve name with
+    | Some p -> Ok p
+    | None ->
+      Error
+        (Printf.sprintf "unknown strategy %S (want %s, or crosstalk[:BASE[:DB]])"
+           name
+           (String.concat ", " (names ())))
 end
 
 (* splitmix64's finalizer with its multipliers truncated to OCaml's

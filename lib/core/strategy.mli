@@ -67,14 +67,17 @@ end) : sig
   val register_parser : (string -> P.t option) -> unit
   (** Install a parser for parameterized names ([prefix:arg:...]).  A
       parser returning [Some p] ends the search; [p] is {e not} cached
-      under the name, so parsers must be deterministic in the name. *)
+      under the name, so parsers must be deterministic in the name, and
+      [p] must carry the name it was asked for (a network persists its
+      strategy as its plug-in's name). *)
 
   val resolve : string -> P.t option
   (** Exact registered names first, then parsers in registration
       order. *)
 
-  val mem : string -> bool
-  (** [resolve name <> None]. *)
+  val find : string -> (P.t, string) result
+  (** {!resolve} with the refusal spelled out for a user: ["unknown
+      strategy "x" (want a, b, ..., or crosstalk[:BASE[:DB]])"]. *)
 
   val names : unit -> string list
   (** Exactly-registered names, sorted (parameterized forms are open-

@@ -109,8 +109,11 @@ let shrink = function
 let quick = { default with workloads = List.map shrink default.workloads }
 
 (* The per-cell RNG is a function of the campaign seed and the workload
-   index only — NOT the strategy — so every strategy in a row faces the
-   same offered stream. *)
+   index only — NOT the strategy.  Erlang (mesh) arrivals do not depend
+   on admissions, so every strategy in a mesh row faces the same offered
+   stream; the churn (multistage) driver draws setups from the free
+   endpoints and teardowns from the admitted routes, so there only the
+   seed and the step count are shared. *)
 let cell_rng spec ~workload_index =
   Random.State.make [| spec.seed; 7919 * (workload_index + 1) |]
 
@@ -194,15 +197,17 @@ let run_cell spec ~workload_index workload name =
   let outcome =
     match workload with
     | Multistage { n; m; r; k; steps; teardown_bias; fanout; label = _ } -> (
-      match Network.strategy_of_string name with
+      match Network.Strategy.find name with
       | Error e -> Error (Printf.sprintf "multistage: %s" e)
-      | Ok strategy ->
-        run_multistage rng ~strategy ~n ~m ~r ~k ~steps ~teardown_bias ~fanout)
+      | Ok _ ->
+        run_multistage rng ~strategy:name ~n ~m ~r ~k ~steps ~teardown_bias
+          ~fanout)
     | Mesh { topo; k; k_paths; offered; arrivals; fanout; label = _ } -> (
-      match Assign.strategy_of_string name with
+      match Assign.find_plugin name with
       | Error e -> Error (Printf.sprintf "mesh: %s" e)
-      | Ok strategy ->
-        run_mesh rng ~strategy ~topo ~k ~k_paths ~offered ~arrivals ~fanout)
+      | Ok _ ->
+        run_mesh rng ~strategy:name ~topo ~k ~k_paths ~offered ~arrivals
+          ~fanout)
   in
   match outcome with
   | Error _ as e -> e

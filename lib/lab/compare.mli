@@ -1,12 +1,19 @@
-(** Race routing strategies over identical seeded traffic.
+(** Race routing strategies over identically seeded traffic.
 
     The strategy plug-in API ({!Wdm_multistage.Network.Strategy},
     {!Wdm_mesh.Assign}) makes strategies values with names; this module
-    makes them comparable: every strategy in a spec is driven over the
-    {e same} per-workload seeded traffic stream — the per-cell RNG is
-    derived from the campaign seed and the workload index only, never
-    the strategy — so two cells in one row differ only by the routing
-    decisions under test.
+    makes them comparable: every strategy in a spec is driven from the
+    {e same} per-workload seed — the per-cell RNG is derived from the
+    campaign seed and the workload index only, never the strategy.
+
+    For mesh cells that makes the offered stream identical: Erlang
+    arrivals do not depend on what was admitted, so two cells in one
+    row differ only by the routing decisions under test (equal
+    [attempts]).  Multistage cells share the seed and the step count
+    but not the stream: the churn driver draws each setup from the free
+    endpoints and each teardown from the admitted routes, so once two
+    strategies admit differently their requests diverge, and so do
+    their [attempts].
 
     Workloads span both engines: multistage cells run the
     {!Wdm_traffic.Churn} setup/teardown driver against an

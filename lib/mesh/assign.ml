@@ -1,21 +1,3 @@
-type strategy =
-  | First_fit
-  | Most_used
-  | Least_used
-  | Random
-  | Coloring
-  | Named of string
-
-let strategy_to_string = function
-  | First_fit -> "first-fit"
-  | Most_used -> "most-used"
-  | Least_used -> "least-used"
-  | Random -> "random"
-  | Coloring -> "coloring"
-  | Named name -> name
-
-let strategies = [ First_fit; Most_used; Least_used; Random; Coloring ]
-
 type t = {
   k : int;
   mask : int array; (* edge id -> bitmask, bit (wl-1) set = in use *)
@@ -103,20 +85,6 @@ let least_used_order t ~hash:_ =
 let random_order t ~hash =
   let start = (hash land max_int) mod t.k in
   List.init t.k (fun i -> ((start + i) mod t.k) + 1)
-
-let order t strategy ~hash =
-  match strategy with
-  | First_fit | Coloring -> first_fit_order t ~hash
-  | Most_used -> most_used_order t ~hash
-  | Least_used -> least_used_order t ~hash
-  | Random -> random_order t ~hash
-  | Named name -> (
-    match Plugin_registry.resolve name with
-    | Some p -> p.p_order t ~hash
-    | None ->
-      (* builds resolve Named up front, so an unknown name here means a
-         caller bypassed Mesh_network.build *)
-      invalid_arg (Printf.sprintf "Assign.order: unknown strategy %S" name))
 
 (* Simulated annealing over the wavelength scan order, seeded from the
    request hash so WAL replay re-derives the same order.  Cost prefers
@@ -222,6 +190,7 @@ let make_plugin ~name ~doc ?admit order =
 let register_plugin = Plugin_registry.register
 let register_plugin_parser = Plugin_registry.register_parser
 let resolve_plugin name = Plugin_registry.resolve name
+let find_plugin = Plugin_registry.find
 let plugin_names () = Plugin_registry.names ()
 let plugin_name p = p.p_name
 let plugin_doc p = p.p_doc
@@ -231,18 +200,3 @@ let plugin_admits p t ~edges ~wl ~fanout =
   match p.p_admit with
   | None -> true
   | Some admit -> admit t ~edges ~wl ~fanout
-
-let strategy_of_string s =
-  match
-    List.find_opt (fun st -> strategy_to_string st = s) strategies
-  with
-  | Some st -> Ok st
-  | None ->
-    if Plugin_registry.mem s then Ok (Named s)
-    else
-      Error
-        (Printf.sprintf "unknown strategy %S (want %s, or crosstalk[:BASE[:DB]])"
-           s
-           (String.concat ", " (Plugin_registry.names ())))
-
-let pp_strategy ppf s = Format.pp_print_string ppf (strategy_to_string s)

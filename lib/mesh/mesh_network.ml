@@ -12,7 +12,7 @@ type splitters =
 module Config = struct
   type t = {
     k : int;
-    strategy : Assign.strategy;
+    strategy : string;
     mode : Light_tree.mode;
     splitters : splitters;
     k_paths : int;
@@ -21,7 +21,7 @@ module Config = struct
   let default =
     {
       k = 8;
-      strategy = Assign.First_fit;
+      strategy = "first-fit";
       mode = Light_tree.Hierarchy;
       splitters = Split_all;
       k_paths = 3;
@@ -57,9 +57,9 @@ type t = {
   cfg : Config.t;
   mc : bool array;
   assign : Assign.t;
-  plugin : Assign.plugin option;
-      (* resolved once at build time when cfg.strategy is [Named _];
-         plug-ins are pure so sharing the resolution is safe *)
+  plugin : Assign.plugin;
+      (* cfg.strategy, resolved once at build time; plug-ins are pure
+         so sharing the resolution is safe *)
   active : (int, route) Hashtbl.t;
   mutable next_id : int;
   mutable attempts : int;
@@ -69,7 +69,7 @@ type t = {
 type state = {
   s_topo : string;
   s_k : int;
-  s_strategy : Assign.strategy;
+  s_strategy : string;
   s_mode : Light_tree.mode;
   s_k_paths : int;
   s_mc : bool array;
@@ -121,15 +121,7 @@ let build ?telemetry ~(cfg : Config.t) ~topo_name ~mc graph =
   if cfg.k < 1 || cfg.k > 62 then Error "wavelength count must be in 1..62"
   else if cfg.k_paths < 1 then Error "k_paths must be >= 1"
   else
-    let plugin =
-      match cfg.strategy with
-      | Assign.Named name -> (
-        match Assign.resolve_plugin name with
-        | Some _ as p -> Ok p
-        | None -> Error (Printf.sprintf "unknown strategy %S" name))
-      | _ -> Ok None
-    in
-    match plugin with
+    match Assign.find_plugin cfg.strategy with
     | Error _ as e -> e
     | Ok plugin ->
       Ok
@@ -188,7 +180,7 @@ let path_edges g nodes =
 
 let arc_edge_ids arcs = List.map (fun (_, _, e) -> e) arcs
 
-(* The [Random] strategy's rotation hash: a deterministic mix of the
+(* The [random] strategy's rotation hash: a deterministic mix of the
    monotone attempt counter and the request, so replayed WALs make the
    same "random" choices (the counter advances on refusals too, and
    refused connects are themselves WAL-recorded). *)
@@ -200,40 +192,12 @@ let request_hash t (c : Connection.t) =
     (fun h (d : Endpoint.t) -> mix h d.Endpoint.port)
     h c.Connection.destinations
 
-(* Independent implementation of greedy coloring for unicast requests:
-   collect the wavelengths of active routes sharing an edge with the
-   candidate path and take the smallest absent one.  Because the
-   occupancy mask on those edges is exactly the union of those routes'
-   wavelengths, this provably equals first-fit — the test suite holds
-   the two implementations to that. *)
-let coloring_pick t edge_ids =
-  let conflict = ref 0 in
-  Hashtbl.iter
-    (fun _ (r : route) ->
-      if List.exists (fun e -> List.mem e (arc_edge_ids r.arcs)) edge_ids then
-        conflict := !conflict lor (1 lsl (r.wl - 1)))
-    t.active;
-  let rec first wl =
-    if wl > t.cfg.k then None
-    else if !conflict land (1 lsl (wl - 1)) = 0 then Some wl
-    else first (wl + 1)
-  in
-  first 1
+(* Candidate wavelength scan order, and a plug-in's veto of an
+   otherwise-feasible assignment (e.g. the crosstalk-budget decorator). *)
+let scan_order t ~hash = Assign.plugin_order t.plugin t.assign ~hash
 
-(* Candidate wavelength scan order: the enum strategies dispatch through
-   Assign.order exactly as before the plug-in API; a [Named] strategy
-   uses its resolved plug-in (cached on [t]). *)
-let scan_order t ~hash =
-  match t.plugin with
-  | Some p -> Assign.plugin_order p t.assign ~hash
-  | None -> Assign.order t.assign t.cfg.strategy ~hash
-
-(* A plug-in may additionally veto an otherwise-feasible assignment
-   (e.g. the crosstalk-budget decorator); enum strategies never do. *)
 let admits t ~edges ~wl ~fanout =
-  match t.plugin with
-  | Some p -> Assign.plugin_admits p t.assign ~edges ~wl ~fanout
-  | None -> true
+  Assign.plugin_admits t.plugin t.assign ~edges ~wl ~fanout
 
 let try_unicast t ~hash ~src ~dst =
   let paths =
@@ -243,21 +207,11 @@ let try_unicast t ~hash ~src ~dst =
     let arcs = path_edges t.graph nodes in
     let edge_ids = arc_edge_ids arcs in
     let chosen =
-      match t.cfg.strategy with
-      | Assign.Coloring -> (
-        match coloring_pick t edge_ids with
-        | Some wl when Assign.free_on t.assign ~edges:edge_ids ~wl -> Some wl
-        | Some _ ->
-          (* conflict-graph coloring and edge occupancy disagree: the
-             invariant relating them is broken *)
-          assert false
-        | None -> None)
-      | _ ->
-        List.find_opt
-          (fun wl ->
-            Assign.free_on t.assign ~edges:edge_ids ~wl
-            && admits t ~edges:edge_ids ~wl ~fanout:1)
-          (scan_order t ~hash)
+      List.find_opt
+        (fun wl ->
+          Assign.free_on t.assign ~edges:edge_ids ~wl
+          && admits t ~edges:edge_ids ~wl ~fanout:1)
+        (scan_order t ~hash)
     in
     Option.map (fun wl -> (arcs, wl)) chosen
   in

@@ -12,7 +12,7 @@
     signal) and occupies nothing.
 
     Determinism: every connect outcome is a pure function of the
-    construction arguments and the op sequence so far.  The [Random]
+    construction arguments and the op sequence so far.  The [random]
     strategy hashes a monotone attempt counter (advanced on every
     connect, accepted or refused), so WAL replay — which records
     refused connects too — reproduces routes byte-for-byte. *)
@@ -32,7 +32,8 @@ type splitters =
 module Config : sig
   type t = {
     k : int;  (** wavelengths per fiber, [1..62] *)
-    strategy : Assign.strategy;
+    strategy : string;
+        (** An {!Assign} plug-in registry name, resolved once at build. *)
     mode : Light_tree.mode;
     splitters : splitters;
     k_paths : int;  (** Yen candidates for unicast routing, [>= 1] *)
@@ -64,7 +65,8 @@ val create :
   ?telemetry:Sink.t -> ?config:Config.t -> string -> (t, string) result
 (** [create name] builds the {!Zoo} topology [name] (e.g. ["nsf14"],
     ["ring8"]).  Errors on an unknown topology, a [Split_nodes] id out
-    of range, or an out-of-range config field. *)
+    of range, an unknown strategy name, or an out-of-range config
+    field. *)
 
 val connect : t -> Connection.t -> (route, error) result
 val disconnect : t -> int -> (route, disconnect_error) result
@@ -84,7 +86,7 @@ val utilization : t -> float
 type state = {
   s_topo : string;
   s_k : int;
-  s_strategy : Assign.strategy;
+  s_strategy : string;  (** strategy registry name *)
   s_mode : Light_tree.mode;
   s_k_paths : int;
   s_mc : bool array;  (** resolved capability, index 0 unused *)

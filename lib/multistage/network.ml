@@ -2,12 +2,6 @@ open Wdm_core
 
 type construction = Msw_dominant | Maw_dominant
 
-type strategy =
-  | Min_intersection
-  | First_fit
-  | Exhaustive
-  | Named of string  (* a registered strategy plug-in, by registry name *)
-
 type hop = { middle : int; stage1_wl : int; serves : (int * int) list }
 
 type route = {
@@ -168,7 +162,6 @@ type t = {
   construction : construction;
   output_model : Model.t;
   x_limit : int;
-  strategy : strategy;
   rearrange_limit : int;
   (* stage1: link (input module i, middle j); stage2: (middle j, output
      module p) *)
@@ -195,15 +188,16 @@ type t = {
      across calls *)
   scratch_uncovered : int array;
   instruments : instruments option;
-  (* the resolved plug-in when [strategy] is [Named]; resolved once at
-     create/restore so the hot path never consults the registry *)
-  plugin : splugin option;
+  (* the strategy, resolved by name once at create/restore so the hot
+     path never consults the registry; its name is what snapshots
+     persist *)
+  plugin : splugin;
 }
 
 (* The plug-in surface (public as [Network.Strategy]): a selection
    context bundling the engine state with one request, and the plug-in
    record itself.  Mutually recursive with [t] so the resolved plug-in
-   can be cached on the network. *)
+   lives on the network. *)
 and sctx = {
   net : t;
   c_input_switch : int;
@@ -281,7 +275,7 @@ let register_instruments (topo : Topology.t) (sink : Tel.Sink.t) =
 
 module Config = struct
   type t = {
-    strategy : strategy;
+    strategy : string;
     x_limit : int option;  (** [None]: Theorem 1/2 optimum for the topology *)
     rearrange_limit : int;
     telemetry : Tel.Sink.t option;
@@ -289,7 +283,7 @@ module Config = struct
 
   let default =
     {
-      strategy = Min_intersection;
+      strategy = "min-intersection";
       x_limit = None;
       rearrange_limit = 64;
       telemetry = None;
@@ -309,21 +303,15 @@ let create ?(config = Config.default) ~construction ~output_model
   if rearrange_limit < 1 then
     invalid_arg "Network.create: rearrange_limit must be >= 1";
   let plugin =
-    match strategy with
-    | Min_intersection | First_fit | Exhaustive -> None
-    | Named name -> (
-      match Plugin_registry.resolve name with
-      | Some _ as p -> p
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Network.create: unknown strategy %S" name))
+    match Plugin_registry.find strategy with
+    | Ok p -> p
+    | Error e -> invalid_arg ("Network.create: " ^ e)
   in
   {
     topo;
     construction;
     output_model;
     x_limit;
-    strategy;
     rearrange_limit;
     stage1 = make_plane ~rows:topo.r ~cols:topo.m ~k:topo.k;
     stage2 = make_plane ~rows:topo.m ~cols:topo.r ~k:topo.k;
@@ -350,7 +338,7 @@ let topology t = t.topo
 let construction t = t.construction
 let output_model t = t.output_model
 let x_limit t = t.x_limit
-let strategy t = t.strategy
+let strategy t = t.plugin.name
 
 (* ----- link-state helpers --------------------------------------------- *)
 
@@ -509,7 +497,7 @@ let min_intersection t ~input_switch ~src_wl fanout =
 
 (* First-fit over a middle order: walk [order], skip middles without a
    usable first-stage slot, and keep each that covers something still
-   uncovered, up to [x_limit] picks.  The [First_fit] built-in scans
+   uncovered, up to [x_limit] picks.  The [first-fit] built-in scans
    [all_middles]; ordering-based plug-ins pass their own order. *)
 let first_fit t ~input_switch ~src_wl order fanout =
   let rec go chosen_rev n_unc picks_left = function
@@ -564,6 +552,56 @@ let select_exhaustive t ~input_switch ~src_wl available fanout =
 
 (* ----- strategy plug-ins ----------------------------------------------- *)
 
+(* A plug-in's plan is checked against the engine invariants the
+   built-ins uphold by construction, so a buggy plug-in surfaces as a
+   loud [Invalid_argument] instead of corrupting the link planes. *)
+let check_plan t ~input_switch ~src_wl ~fanout ~name plan =
+  let bad reason =
+    invalid_arg
+      (Printf.sprintf "Network: strategy %S returned an invalid plan (%s)"
+         name reason)
+  in
+  let picks = List.filter (fun (_, serves) -> serves <> []) plan in
+  if List.length picks > t.x_limit then bad "more than x_limit middles";
+  let js = List.map fst plan in
+  if List.length (List.sort_uniq Int.compare js) <> List.length js then
+    bad "repeated middle";
+  List.iter
+    (fun (j, serves) ->
+      if j < 1 || j > t.topo.m then bad "middle out of range";
+      if serves <> [] && not (middle_available t ~input_switch ~src_wl j) then
+        bad "unavailable middle";
+      List.iter
+        (fun p ->
+          if not (List.mem p fanout) then
+            bad "serves a module outside the request";
+          if not (middle_covers t ~input_switch ~src_wl j p) then
+            bad "claims an uncoverable module")
+        serves)
+    plan;
+  let served = List.concat_map snd plan in
+  if List.length (List.sort_uniq Int.compare served) <> List.length served
+  then bad "module served twice";
+  List.iter
+    (fun p -> if not (List.mem p served) then bad "module left uncovered")
+    fanout
+
+(* The public registration path validates every plan a plug-in returns;
+   only the three built-ins below install unchecked, as they uphold the
+   invariants by construction and sit on the admission hot path. *)
+let checked (p : splugin) =
+  {
+    p with
+    select =
+      (fun c ->
+        match p.select c with
+        | None -> None
+        | Some plan ->
+          check_plan c.net ~input_switch:c.c_input_switch ~src_wl:c.c_src_wl
+            ~fanout:c.c_fanout ~name:p.name plan;
+          Some plan);
+  }
+
 module Strategy = struct
   type ctx = sctx
   type plan = (int * int list) list
@@ -603,72 +641,20 @@ module Strategy = struct
     first_fit c.net ~input_switch:c.c_input_switch ~src_wl:c.c_src_wl order
       c.c_fanout
 
-  let register = Plugin_registry.register
-  let register_parser = Plugin_registry.register_parser
+  let register p = Plugin_registry.register (checked p)
+  let register_parser f =
+    Plugin_registry.register_parser (fun name -> Option.map checked (f name))
   let resolve = Plugin_registry.resolve
+  let find = Plugin_registry.find
   let names = Plugin_registry.names
 end
 
-(* A plug-in's plan is checked against the engine invariants the
-   built-ins uphold by construction, so a buggy plug-in surfaces as a
-   loud [Invalid_argument] instead of corrupting the link planes. *)
-let check_plan t ~input_switch ~src_wl ~fanout ~name plan =
-  let bad reason =
-    invalid_arg
-      (Printf.sprintf "Network: strategy %S returned an invalid plan (%s)"
-         name reason)
-  in
-  let picks = List.filter (fun (_, serves) -> serves <> []) plan in
-  if List.length picks > t.x_limit then bad "more than x_limit middles";
-  let js = List.map fst plan in
-  if List.length (List.sort_uniq Int.compare js) <> List.length js then
-    bad "repeated middle";
-  List.iter
-    (fun (j, serves) ->
-      if j < 1 || j > t.topo.m then bad "middle out of range";
-      if serves <> [] && not (middle_available t ~input_switch ~src_wl j) then
-        bad "unavailable middle";
-      List.iter
-        (fun p ->
-          if not (List.mem p fanout) then
-            bad "serves a module outside the request";
-          if not (middle_covers t ~input_switch ~src_wl j p) then
-            bad "claims an uncoverable module")
-        serves)
-    plan;
-  let served = List.concat_map snd plan in
-  if List.length (List.sort_uniq Int.compare served) <> List.length served
-  then bad "module served twice";
-  List.iter
-    (fun p -> if not (List.mem p served) then bad "module left uncovered")
-    fanout
-
 let select t ~input_switch ~src_wl fanout =
-  let raw =
-    match t.strategy with
-    | Min_intersection -> min_intersection t ~input_switch ~src_wl fanout
-    | First_fit -> first_fit t ~input_switch ~src_wl t.all_middles fanout
-    | Exhaustive ->
-      select_exhaustive t ~input_switch ~src_wl
-        (available_middles t ~input_switch ~src_wl)
-        fanout
-    | Named _ -> (
-      let p =
-        match t.plugin with Some p -> p | None -> assert false
-        (* create/restore resolve Named strategies or refuse *)
-      in
-      match
-        p.select
-          { net = t; c_input_switch = input_switch; c_src_wl = src_wl;
-            c_fanout = fanout }
-      with
-      | None -> None
-      | Some plan ->
-        check_plan t ~input_switch ~src_wl ~fanout ~name:p.name plan;
-        Some plan)
-  in
+  t.plugin.select
+    { net = t; c_input_switch = input_switch; c_src_wl = src_wl;
+      c_fanout = fanout }
   (* Drop members that ended up serving nothing. *)
-  Option.map (List.filter (fun (_, serves) -> serves <> [])) raw
+  |> Option.map (List.filter (fun (_, serves) -> serves <> []))
 
 (* ----- built-in and lab strategy plug-ins ------------------------------ *)
 
@@ -781,19 +767,21 @@ let crosstalk_parser full_name =
   | _ -> None
 
 let () =
+  let builtin name doc select =
+    Plugin_registry.register { name; doc; select }
+  in
   let reg name doc select = Strategy.register { name; doc; select } in
-  reg "min-intersection"
-    "greedy minimal-residual-intersection cover (Lemma 5); the \
-     Min_intersection built-in"
+  builtin "min-intersection"
+    "greedy minimal-residual-intersection cover (Lemma 5); the default"
     (fun c ->
       min_intersection c.net ~input_switch:c.c_input_switch ~src_wl:c.c_src_wl
         c.c_fanout);
-  reg "first-fit"
-    "ascending middle scan keeping any module that covers something new; \
-     the First_fit built-in"
+  builtin "first-fit"
+    "ascending middle scan keeping any module that covers something new"
     (fun c -> Strategy.cover_in_order c c.net.all_middles);
-  reg "exhaustive"
-    "smallest-subset search over available middles; the Exhaustive built-in"
+  builtin "exhaustive"
+    "search over subsets of available middles, smallest first \
+     (exponential; ablation and small fabrics only)"
     (fun c ->
       select_exhaustive c.net ~input_switch:c.c_input_switch
         ~src_wl:c.c_src_wl
@@ -818,26 +806,6 @@ let () =
      request fingerprint (deterministic, replay-safe)"
     annealed_select;
   Strategy.register_parser crosstalk_parser
-
-let strategy_to_string = function
-  | Min_intersection -> "min-intersection"
-  | First_fit -> "first-fit"
-  | Exhaustive -> "exhaustive"
-  | Named name -> name
-
-let strategy_of_string = function
-  | "min-intersection" -> Ok Min_intersection
-  | "first-fit" -> Ok First_fit
-  | "exhaustive" -> Ok Exhaustive
-  | s ->
-    if Plugin_registry.mem s then Ok (Named s)
-    else
-      Error
-        (Printf.sprintf
-           "unknown strategy %S (want %s, or crosstalk[:BASE[:DB]])" s
-           (String.concat ", " (Plugin_registry.names ())))
-
-let pp_strategy ppf s = Format.pp_print_string ppf (strategy_to_string s)
 
 (* ----- admission ------------------------------------------------------ *)
 
@@ -1401,7 +1369,7 @@ type snapshot = {
   s_construction : construction;
   s_output_model : Model.t;
   s_x_limit : int;
-  s_strategy : strategy;
+  s_strategy : string;
   s_rearrange_limit : int;
   s_next_id : int;
   s_routes : route list;
@@ -1414,7 +1382,7 @@ let snapshot t =
     s_construction = t.construction;
     s_output_model = t.output_model;
     s_x_limit = t.x_limit;
-    s_strategy = t.strategy;
+    s_strategy = t.plugin.name;
     s_rearrange_limit = t.rearrange_limit;
     s_next_id = t.next_id;
     s_routes = Imap.bindings t.routes |> List.map snd;

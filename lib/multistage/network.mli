@@ -7,8 +7,9 @@
     [ceil(k/62)] words per link, so first-free and coverage probes are
     word operations, and a single word per link when [k <= 62].
     {!connect} admits one multicast connection using at most [x_limit]
-    middle modules (the paper's routing strategy behind Theorems 1-2)
-    and {!disconnect} releases it — the dynamic, any-sequence setting in
+    middle modules, chosen by a {!Strategy} plug-in named in the
+    {!Config} (by default [min-intersection], the paper's routing
+    strategy behind Theorems 1-2), and {!disconnect} releases it — the dynamic, any-sequence setting in
     which the nonblocking conditions are claimed.
 
     The two constructions:
@@ -28,27 +29,6 @@
 open Wdm_core
 
 type construction = Msw_dominant | Maw_dominant
-
-type strategy =
-  | Min_intersection
-      (** Lemma 5's argument made operational: repeatedly pick the
-          available middle module minimizing the residual intersection
-          (equivalently, covering the most still-uncovered output
-          modules).  Default. *)
-  | First_fit
-      (** Scan middle modules in index order, keep any that covers
-          something new. *)
-  | Exhaustive
-      (** Search all subsets of available middles of size [<= x_limit]
-          for a cover, smallest first.  Exponential; for ablation and
-          small fabrics only. *)
-  | Named of string
-      (** A strategy plug-in by registry name (see {!Strategy}).  The
-          built-ins are themselves registered ([Named "min-intersection"]
-          routes byte-identically to {!Min_intersection}, and likewise
-          for [first-fit]/[exhaustive]); the lab strategies ([adaptive],
-          [annealed], [crosstalk:BASE:DB]) are only reachable this way.
-          {!create}/{!restore} refuse unknown names. *)
 
 type hop = {
   middle : int;  (** middle module index, 1-based *)
@@ -93,7 +73,8 @@ type t
     optional argument through every signature that wraps {!create}. *)
 module Config : sig
   type t = {
-    strategy : strategy;
+    strategy : string;
+        (** A {!Strategy} registry name, resolved once by {!create}. *)
     x_limit : int option;
         (** [None]: the optimal [x] of the construction's nonblocking
             condition (Theorem 1 or 2) for the topology. *)
@@ -106,7 +87,7 @@ module Config : sig
   }
 
   val default : t
-  (** [Min_intersection], optimal [x_limit], [rearrange_limit = 64], no
+  (** [min-intersection], optimal [x_limit], [rearrange_limit = 64], no
       telemetry. *)
 end
 
@@ -120,7 +101,8 @@ val create :
     network; [config] defaults to {!Config.default}, and overrides read
     as [{ Config.default with x_limit = Some 2 }].
     @raise Invalid_argument for a non-positive [x_limit] /
-    [rearrange_limit], or an unknown [Named] strategy.
+    [rearrange_limit], or a strategy name the {!Strategy} registry does
+    not resolve.
 
     When [config.telemetry] is set, the network is instrumented:
     {!connect}, {!connect_rearrangeable} and {!disconnect} feed
@@ -139,22 +121,30 @@ val create :
 (** The routing-strategy plug-in API (the engine half of the shared
     {!Wdm_core.Strategy} contract).
 
-    A plug-in sees one admission attempt as a {!ctx} — the live network
-    plus the request's sourcing coordinates and the output modules it
-    must cover — and answers with a {!plan}: which middle modules to
-    use and which output modules each serves.  The engine validates the
-    plan against its invariants (distinct available middles, exact
-    cover, at most [x_limit] picks) and then allocates wavelengths
-    exactly as it does for the built-ins; a plug-in returning [None]
-    surfaces as an ordinary {!Blocked} refusal.
+    Every strategy is a plug-in, named in {!Config.t}.  A plug-in sees
+    one admission attempt as a {!ctx} — the live network plus the
+    request's sourcing coordinates and the output modules it must cover
+    — and answers with a {!plan}: which middle modules to use and which
+    output modules each serves.  The engine then allocates wavelengths;
+    a plug-in returning [None] surfaces as an ordinary {!Blocked}
+    refusal.  Plans of plug-ins installed through {!register} and
+    {!register_parser} are validated against the engine invariants
+    (distinct available middles, exact cover, at most [x_limit] picks)
+    first; only the three built-ins, which uphold them by construction,
+    skip the check.
 
     Determinism contract (see {!Wdm_core.Strategy}): [select] must be a
     pure function of the context.  Derive any pseudo-randomness from
     {!request_key} via {!Wdm_core.Strategy.Det_rng} so WAL replays make
     identical choices.
 
-    Registered names: [min-intersection], [first-fit], [exhaustive]
-    (the built-ins as plug-ins), [adaptive] (least-occupied middles
+    Registered names: the built-ins [min-intersection] (Lemma 5's
+    argument made operational: repeatedly pick the available middle
+    covering the most still-uncovered output modules; the default),
+    [first-fit] (scan middles in index order, keep any that covers
+    something new) and [exhaustive] (all subsets of available middles of
+    size [<= x_limit], smallest first; exponential, for ablation and
+    small fabrics only); [adaptive] (least-occupied middles
     first, driven by the live per-middle occupancy), [annealed]
     (simulated annealing over the middle scan order, request-seeded),
     and the parameterized decorator [crosstalk[:BASE[:DB]]] (reject
@@ -198,14 +188,18 @@ module Strategy : sig
   type t = { name : string; doc : string; select : ctx -> plan option }
 
   val register : t -> unit
-  (** Install (or replace) a plug-in under its [name]; reachable as
-      [Named name] afterwards. *)
+  (** Install (or replace) a plug-in under its [name], with its plans
+      validated on every call; a {!Config.t} may name it afterwards. *)
 
   val register_parser : (string -> t option) -> unit
   (** Install a parser for parameterized names such as
       [crosstalk:first-fit:18]. *)
 
   val resolve : string -> t option
+
+  val find : string -> (t, string) result
+  (** {!resolve}, or the "unknown strategy" message listing {!names}. *)
+
   val names : unit -> string list
 
   val cover_in_order : ctx -> int list -> plan option
@@ -215,18 +209,12 @@ module Strategy : sig
       ordering-based strategies. *)
 end
 
-val strategy_of_string : string -> (strategy, string) result
-(** Built-in names map to their enum constructors; any other name the
-    {!Strategy} registry resolves maps to [Named]. *)
-
-val strategy_to_string : strategy -> string
-val pp_strategy : Format.formatter -> strategy -> unit
-
 val topology : t -> Topology.t
 val construction : t -> construction
 val output_model : t -> Model.t
 val x_limit : t -> int
-val strategy : t -> strategy
+val strategy : t -> string
+(** The registry name of the network's strategy. *)
 
 val connect : t -> Connection.t -> (route, error) result
 
@@ -303,7 +291,7 @@ type snapshot = {
   s_construction : construction;
   s_output_model : Model.t;
   s_x_limit : int;
-  s_strategy : strategy;
+  s_strategy : string;  (** strategy registry name *)
   s_rearrange_limit : int;
   s_next_id : int;  (** route-id allocator; ids are never reused *)
   s_routes : route list;  (** ascending id *)

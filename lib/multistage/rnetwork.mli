@@ -30,14 +30,16 @@ type route = {
 }
 
 val create :
-  ?strategy:Network.strategy ->
+  ?strategy:string ->
   construction:Network.construction ->
   Recursive.t ->
   t
 (** Instantiates the design tree: every level gets its own link state
     and (per-level default) [x_limit]; inner levels use the
     construction's dominant model end to end, the outermost output
-    stage uses the design's model. *)
+    stage uses the design's model.  [strategy] is a
+    {!Network.Strategy} registry name used at every level (default
+    {!Network.Config.default}'s). *)
 
 val stages : t -> int
 val topology : t -> Topology.t

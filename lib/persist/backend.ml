@@ -3,7 +3,6 @@ module Network = Wdm_multistage.Network
 module Topology = Wdm_multistage.Topology
 module Model = Wdm_core.Model
 module Mesh = Wdm_mesh.Mesh_network
-module Mesh_assign = Wdm_mesh.Assign
 module Mesh_tree = Wdm_mesh.Light_tree
 module Mesh_graph = Wdm_mesh.Graph
 module Zoo = Wdm_mesh.Zoo
@@ -33,33 +32,29 @@ let construction_tag = function
   | Network.Msw_dominant -> 0
   | Network.Maw_dominant -> 1
 
-(* [Named] built-ins canonicalize onto the tags their enum twins have
-   carried since v1, so routing through the plug-in API leaves snapshots
-   — and therefore digests — byte-identical; only genuinely new plug-in
-   names take the string-carrying tag 3.  Old WALs never contain tag 3
-   and decode unchanged. *)
-let canonical_strategy = function
-  | Network.Named "min-intersection" -> Network.Min_intersection
-  | Network.Named "first-fit" -> Network.First_fit
-  | Network.Named "exhaustive" -> Network.Exhaustive
-  | s -> s
+(* A strategy is persisted as its registry name.  The names that had
+   enum constructors before the plug-in API keep their one-byte v1 tags
+   (an alias list per engine, index = tag), so WALs, snapshots and
+   digests stay byte-identical; any other name takes the next tag
+   followed by the string. *)
+let net_strategy_tags = [| "min-intersection"; "first-fit"; "exhaustive" |]
 
-let put_strategy b s =
-  match canonical_strategy s with
-  | Network.Min_intersection -> Wire.put_u8 b 0
-  | Network.First_fit -> Wire.put_u8 b 1
-  | Network.Exhaustive -> Wire.put_u8 b 2
-  | Network.Named name ->
-    Wire.put_u8 b 3;
-    put_string b name
+let mesh_strategy_tags =
+  [| "first-fit"; "most-used"; "least-used"; "random"; "coloring" |]
 
-let get_strategy r =
+let put_strategy tags b name =
+  let n = Array.length tags in
+  let rec tag i = if i = n || tags.(i) = name then i else tag (i + 1) in
+  let i = tag 0 in
+  Wire.put_u8 b i;
+  if i = n then put_string b name
+
+let get_strategy ~what tags r =
+  let n = Array.length tags in
   match Wire.get_u8 r with
-  | 0 -> Network.Min_intersection
-  | 1 -> Network.First_fit
-  | 2 -> Network.Exhaustive
-  | 3 -> Network.Named (get_string r)
-  | t -> fail r (Printf.sprintf "unknown strategy tag %d" t)
+  | t when t < n -> tags.(t)
+  | t when t = n -> get_string r
+  | t -> fail r (Printf.sprintf "unknown %sstrategy tag %d" what t)
 
 (* The byte after the strategy is a format constant: the link-state tag
    older networks wrote by default (0 while [k <= 62] fits one word per
@@ -123,7 +118,7 @@ let encode_net_state (s : Network.snapshot) =
   Wire.put_u8 b (construction_tag s.Network.s_construction);
   Wire.put_u8 b (model_tag s.Network.s_output_model);
   Wire.put_u32 b s.Network.s_x_limit;
-  put_strategy b s.Network.s_strategy;
+  put_strategy net_strategy_tags b s.Network.s_strategy;
   Wire.put_u8 b (link_state_tag topo);
   Wire.put_u32 b s.Network.s_rearrange_limit;
   Wire.put_int b s.Network.s_next_id;
@@ -177,7 +172,7 @@ let decode_net_state_reader r : Network.snapshot =
     | t -> fail r (Printf.sprintf "unknown model tag %d" t)
   in
   let s_x_limit = Wire.get_u32 r in
-  let s_strategy = get_strategy r in
+  let s_strategy = get_strategy ~what:"" net_strategy_tags r in
   (match Wire.get_u8 r with
   | 0 | 1 -> ()
   | t -> fail r (Printf.sprintf "unknown link impl tag %d" t));
@@ -219,37 +214,6 @@ let decode_net_state s =
 let mesh_tag = 0
 let mesh_version = 1
 
-(* Same canonicalization as the multistage codec: named classics keep
-   their v1 tags; new plug-in names take the string-carrying tag 5. *)
-let canonical_mesh_strategy = function
-  | Mesh_assign.Named "first-fit" -> Mesh_assign.First_fit
-  | Mesh_assign.Named "most-used" -> Mesh_assign.Most_used
-  | Mesh_assign.Named "least-used" -> Mesh_assign.Least_used
-  | Mesh_assign.Named "random" -> Mesh_assign.Random
-  | Mesh_assign.Named "coloring" -> Mesh_assign.Coloring
-  | s -> s
-
-let put_mesh_strategy b s =
-  match canonical_mesh_strategy s with
-  | Mesh_assign.First_fit -> Wire.put_u8 b 0
-  | Mesh_assign.Most_used -> Wire.put_u8 b 1
-  | Mesh_assign.Least_used -> Wire.put_u8 b 2
-  | Mesh_assign.Random -> Wire.put_u8 b 3
-  | Mesh_assign.Coloring -> Wire.put_u8 b 4
-  | Mesh_assign.Named name ->
-    Wire.put_u8 b 5;
-    put_string b name
-
-let get_mesh_strategy r =
-  match Wire.get_u8 r with
-  | 0 -> Mesh_assign.First_fit
-  | 1 -> Mesh_assign.Most_used
-  | 2 -> Mesh_assign.Least_used
-  | 3 -> Mesh_assign.Random
-  | 4 -> Mesh_assign.Coloring
-  | 5 -> Mesh_assign.Named (get_string r)
-  | t -> fail r (Printf.sprintf "unknown mesh strategy tag %d" t)
-
 let mesh_mode_tag = function Mesh_tree.Tree -> 0 | Mesh_tree.Hierarchy -> 1
 
 let encode_mesh_state (s : Mesh.state) =
@@ -258,7 +222,7 @@ let encode_mesh_state (s : Mesh.state) =
   Wire.put_u8 b mesh_version;
   put_string b s.Mesh.s_topo;
   Wire.put_u8 b s.Mesh.s_k;
-  put_mesh_strategy b s.Mesh.s_strategy;
+  put_strategy mesh_strategy_tags b s.Mesh.s_strategy;
   Wire.put_u8 b (mesh_mode_tag s.Mesh.s_mode);
   Wire.put_u32 b s.Mesh.s_k_paths;
   let n = Array.length s.Mesh.s_mc - 1 in
@@ -305,7 +269,7 @@ let decode_mesh_state_reader r : Mesh.state =
     | Error e -> fail r (Printf.sprintf "invalid mesh topology: %s" e)
   in
   let s_k = Wire.get_u8 r in
-  let s_strategy = get_mesh_strategy r in
+  let s_strategy = get_strategy ~what:"mesh " mesh_strategy_tags r in
   let s_mode =
     match Wire.get_u8 r with
     | 0 -> Mesh_tree.Tree

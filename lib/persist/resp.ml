@@ -359,5 +359,3 @@ and execute_net net op =
       match Network.connect_rearrangeable net connection with
       | Ok (route, moved) -> Admitted { route; moved }
       | Error e -> Refused e))
-
-let execute ?stats net req = execute_backend ?stats (Backend.Net net) req

@@ -90,27 +90,29 @@ val decode_string : string -> (t, string) result
 
 val execute_backend :
   ?stats:(unit -> string) -> Backend.t -> request -> t
-(** {!execute} over either state kind.  A mesh backend answers
-    [Connect] / [Repair] / [Disconnect] through the mesh engine with
-    results mapped onto the multistage route vocabulary
-    ({!Backend.net_route_of_mesh}); fault ops answer [Server_error] —
-    a mesh has no switch fabric to fault — and the server never
-    commits [Server_error] responses, so they cannot reach a WAL. *)
-
-val execute : ?stats:(unit -> string) -> Network.t -> request -> t
 (** The one place request semantics live, shared by the server's
-    admission loop and the loopback equivalence tests: [Connect] and
-    [Repair] map to {!Network.connect} / {!Network.connect_rearrangeable}
-    and answer [Admitted]/[Refused]; [Disconnect] answers
+    admission loop and the loopback equivalence tests.
+
+    On a multistage backend, [Connect] and [Repair] map to
+    {!Network.connect} / {!Network.connect_rearrangeable} and answer
+    [Admitted]/[Refused]; [Disconnect] answers
     [Released]/[Release_failed]; fault ops answer
-    [Fault_applied]/[Fault_cleared]; [Get_digest] answers with
-    {!Store.digest}.  [Get_stats] answers with [stats ()] (default:
-    ["{}"] — the server passes its metrics renderer).
-    [Invalid_argument] from fault validation is caught and answered as
-    [Server_error] — a bad request must not take the server down.
-    [Promote] answers [Server_error]: promotion changes a server's
-    role, not network state, so the server intercepts it before this
-    function ever sees it.  [Batch] maps [execute] over its requests
-    and answers [Batch_reply] — the server instead unrolls batches
-    itself so each sub-op hits the WAL and replication stream
-    individually. *)
+    [Fault_applied]/[Fault_cleared], with [Invalid_argument] from fault
+    validation caught and answered as [Server_error] — a bad request
+    must not take the server down.
+
+    A mesh backend answers [Connect] / [Repair] / [Disconnect] through
+    the mesh engine with results mapped onto the multistage route
+    vocabulary ({!Backend.net_route_of_mesh}); fault ops answer
+    [Server_error] — a mesh has no switch fabric to fault — and the
+    server never commits [Server_error] responses, so they cannot reach
+    a WAL.
+
+    On either, [Get_digest] answers with {!Backend.digest} and
+    [Get_stats] with [stats ()] (default: ["{}"] — the server passes its
+    metrics renderer).  [Promote] answers [Server_error]: promotion
+    changes a server's role, not network state, so the server
+    intercepts it before this function ever sees it.  [Batch] maps
+    [execute_backend] over its requests and answers [Batch_reply] — the
+    server instead unrolls batches itself so each sub-op hits the WAL
+    and replication stream individually. *)

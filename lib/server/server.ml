@@ -1445,11 +1445,6 @@ let role t = t.role
 let applied t = t.rep_seq
 let backend t = t.backend
 
-let network t =
-  match t.backend with
-  | P.Backend.Net net -> net
-  | P.Backend.Mesh _ -> invalid_arg "Server.network: this server runs a mesh backend"
-
 let current_store t = t.store
 
 let spans t =

@@ -191,10 +191,6 @@ val backend : t -> Wdm_persist.Backend.t
     in-process is only safe once the server is stopped or known
     quiescent. *)
 
-val network : t -> Network.t
-(** {!backend} for servers started with {!start}.
-    @raise Invalid_argument on a mesh backend. *)
-
 val current_store : t -> Wdm_persist.Store.t option
 (** The store currently in use: the one passed to {!start}, or the one
     a follower created for its [wal].  After {!stop}, checkpoint and

@@ -88,10 +88,9 @@ let of_network net =
   let { Topology.m; r; k; _ } = topo in
   let strategy =
     match s.s_strategy with
-    | Network.Min_intersection | Network.Named "min-intersection" ->
-      `Min_intersection
-    | Network.First_fit | Network.Named "first-fit" -> `First_fit
-    | other -> fail "unsupported strategy %a" Network.pp_strategy other
+    | "min-intersection" -> `Min_intersection
+    | "first-fit" -> `First_fit
+    | other -> fail "unsupported strategy %s" other
   in
   let t =
     {

@@ -18,7 +18,7 @@ let conn src dests =
     ~source:(Core.Endpoint.make ~port:src ~wl:1)
     ~destinations:(List.map (fun p -> Core.Endpoint.make ~port:p ~wl:1) dests)
 
-let mk_mesh ?(topo = "nsf14") ?(k = 4) ?(strategy = Assign.First_fit)
+let mk_mesh ?(topo = "nsf14") ?(k = 4) ?(strategy = "first-fit")
     ?(mode = Light_tree.Hierarchy) ?(splitters = Mesh_network.Split_all) () =
   let config = { Mesh_network.Config.k; strategy; mode; splitters; k_paths = 3 } in
   match Mesh_network.create ~config topo with
@@ -110,47 +110,91 @@ let test_yen_respects_edge_filter () =
 
 (* --- first-fit vs graph-coloring on unicast traffic ----------------------- *)
 
-(* For path requests the coloring conflict set is exactly the union of
-   occupancy on the path's edges, so coloring must pick the same
-   wavelength first-fit does.  Drive both engines with an identical
-   connect/disconnect trace and demand identical routes. *)
+(* Greedy coloring of the active-route conflict graph, computed from the
+   route records alone: over the request's k shortest paths in order,
+   the first path on which some wavelength is carried by no active route
+   sharing an edge with it, with the smallest such wavelength.  For path
+   requests the conflict set is exactly the union of occupancy on the
+   path's edges, so both [first-fit] and its alias [coloring] must pick
+   what this oracle picks. *)
+let coloring_oracle net active ~src ~dst =
+  let g = Mesh_network.graph net in
+  let k = (Mesh_network.config net).Mesh_network.Config.k in
+  let rec edges_of = function
+    | a :: (b :: _ as rest) -> Option.get (Graph.edge_between g a b) :: edges_of rest
+    | _ -> []
+  in
+  if src = dst then Some ([], 1)
+  else
+    List.find_map
+      (fun (_, nodes) ->
+        let edges = edges_of nodes in
+        let conflict =
+          List.fold_left
+            (fun acc (r : Mesh_network.route) ->
+              if List.exists (fun (_, _, e) -> List.mem e edges) r.arcs then
+                acc lor (1 lsl (r.wl - 1))
+              else acc)
+            0 active
+        in
+        let rec first wl =
+          if wl > k then None
+          else if conflict land (1 lsl (wl - 1)) = 0 then Some (edges, wl)
+          else first (wl + 1)
+        in
+        first 1)
+      (Shortest.k_shortest g ~src ~dst ~k:3)
+
+(* Drive [first-fit] and [coloring] networks with one connect/disconnect
+   trace and hold every unicast admission of both to the oracle. *)
 let test_first_fit_coloring_equivalent () =
-  let a = mk_mesh ~strategy:Assign.First_fit () in
-  let b = mk_mesh ~strategy:Assign.Coloring () in
+  let nets = [ mk_mesh ~strategy:"first-fit" (); mk_mesh ~strategy:"coloring" () ] in
   let rng = Random.State.make [| 42 |] in
   let active = ref [] in
   for step = 1 to 600 do
     if Random.State.int rng 100 < 35 && !active <> [] then begin
-      let i = Random.State.int rng (List.length !active) in
-      let id = List.nth !active i in
-      active := List.filter (fun x -> x <> id) !active;
-      match (Mesh_network.disconnect a id, Mesh_network.disconnect b id) with
-      | Ok ra, Ok rb ->
-        Alcotest.(check int) "released same wl" ra.Mesh_network.wl
-          rb.Mesh_network.wl
-      | _ -> Alcotest.fail "disconnect diverged"
+      let r = List.nth !active (Random.State.int rng (List.length !active)) in
+      active := List.filter (fun (x : Mesh_network.route) -> x != r) !active;
+      List.iter
+        (fun net ->
+          match Mesh_network.disconnect net r.Mesh_network.id with
+          | Ok released ->
+            Alcotest.(check int) "released same wl" r.Mesh_network.wl
+              released.Mesh_network.wl
+          | Error _ -> Alcotest.fail "disconnect diverged")
+        nets
     end
     else begin
       let src = 1 + Random.State.int rng 14 in
       let dst = 1 + Random.State.int rng 14 in
-      let c = conn src [ dst ] in
-      match (Mesh_network.connect a c, Mesh_network.connect b c) with
-      | Ok ra, Ok rb ->
-        Alcotest.(check int)
-          (Printf.sprintf "step %d: same wavelength" step)
-          ra.Mesh_network.wl rb.Mesh_network.wl;
-        Alcotest.(check bool)
-          (Printf.sprintf "step %d: same arcs" step)
-          true
-          (ra.Mesh_network.arcs = rb.Mesh_network.arcs);
-        Alcotest.(check int) "same id" ra.Mesh_network.id rb.Mesh_network.id;
-        active := ra.Mesh_network.id :: !active
-      | Error _, Error _ -> ()
-      | _ -> Alcotest.fail (Printf.sprintf "step %d: admission diverged" step)
+      let expect = coloring_oracle (List.hd nets) !active ~src ~dst in
+      let got =
+        List.map
+          (fun net ->
+            match Mesh_network.connect net (conn src [ dst ]) with
+            | Ok r -> Some r
+            | Error _ -> None)
+          nets
+      in
+      List.iter
+        (fun r ->
+          let summary (r : Mesh_network.route) =
+            (List.map (fun (_, _, e) -> e) r.arcs, r.wl)
+          in
+          Alcotest.(check (option (pair (list int) int)))
+            (Printf.sprintf "step %d: greedy coloring" step)
+            expect (Option.map summary r))
+        got;
+      match got with
+      | Some r :: _ -> active := r :: !active
+      | _ -> ()
     end
   done;
-  Alcotest.(check int) "same active count" (Mesh_network.active_count a)
-    (Mesh_network.active_count b)
+  List.iter
+    (fun net ->
+      Alcotest.(check int) "active count" (List.length !active)
+        (Mesh_network.active_count net))
+    nets
 
 (* --- sparse-splitting invariant ------------------------------------------- *)
 
@@ -240,7 +284,7 @@ let drive m rng steps =
 
 let test_mesh_codec_roundtrip () =
   let m =
-    mk_mesh ~k:6 ~strategy:Assign.Most_used
+    mk_mesh ~k:6 ~strategy:"most-used"
       ~splitters:(Mesh_network.Split_degree_ge 3) ()
   in
   drive m (Random.State.make [| 7 |]) 300;

@@ -227,10 +227,10 @@ let prop_op_roundtrip =
 
 (* --- network snapshot / restore ------------------------------------------ *)
 
-let make_net ?telemetry ?(k = 2) () =
+let make_net ?telemetry ?(k = 2) ?(strategy = "min-intersection") () =
   let topo = Topology.make_exn ~n:3 ~m:8 ~r:3 ~k in
   Network.create
-    ~config:{ Network.Config.default with telemetry }
+    ~config:{ Network.Config.default with telemetry; strategy }
     ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
 
 let populate net =
@@ -306,6 +306,74 @@ let test_reference_tagged_snapshot () =
   Alcotest.(check string) "same pp_state" (state from0) (state from1);
   Alcotest.(check int) "re-encodes as tag 0" (P.Store.digest from0)
     (P.Store.digest from1)
+
+(* [state] with the one-byte strategy tag at [off] replaced by the
+   string-carrying [tag] spelling out [name]. *)
+let with_named_strategy state ~off ~tag name =
+  let b = Buffer.create (String.length state + 32) in
+  Buffer.add_string b (String.sub state 0 off);
+  P.Wire.put_u8 b tag;
+  P.Wire.put_u32 b (String.length name);
+  Buffer.add_string b name;
+  Buffer.add_string b
+    (String.sub state (off + 1) (String.length state - off - 1));
+  Buffer.contents b
+
+let strategy_offset = link_impl_tag_offset - 1
+
+(* Mesh state: tag (u32), version, topology name (u32 length + bytes),
+   k, then the strategy. *)
+let mesh_strategy_offset topo = 4 + 1 + 4 + String.length topo + 1
+
+let mesh_state strategy =
+  let config = { Wdm_mesh.Mesh_network.Config.default with strategy } in
+  let mesh = Result.get_ok (Wdm_mesh.Mesh_network.create ~config "nsf14") in
+  ignore (Wdm_mesh.Mesh_network.connect mesh (conn (ep 1 1) [ ep 5 1; ep 9 1 ]));
+  P.Backend.encode_state (P.Backend.Mesh mesh)
+
+(* A string-tagged name is resolved at restore: an unregistered one is
+   refused with an [Error] on both engines. *)
+let test_unregistered_strategy_refused () =
+  let net = make_net () in
+  populate net;
+  let fabric = P.Backend.encode_state (P.Backend.Net net) in
+  (match
+     P.Backend.restore
+       (with_named_strategy fabric ~off:strategy_offset ~tag:3 "no-such")
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "fabric restored an unregistered strategy");
+  match
+    P.Backend.restore
+      (with_named_strategy (mesh_state "first-fit")
+         ~off:(mesh_strategy_offset "nsf14") ~tag:5 "no-such")
+  with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "mesh restored an unregistered strategy"
+
+(* A name that has a one-byte alias decodes from either spelling and
+   always re-encodes with the alias, byte for byte. *)
+let test_strategy_alias_reencodes () =
+  let net = make_net ~strategy:"first-fit" () in
+  populate net;
+  let fabric = P.Backend.encode_state (P.Backend.Net net) in
+  Alcotest.(check int) "first-fit writes tag 1" 1
+    (Char.code fabric.[strategy_offset]);
+  let spelled =
+    with_named_strategy fabric ~off:strategy_offset ~tag:3 "first-fit"
+  in
+  Alcotest.(check string) "fabric re-encodes with tag 1" fabric
+    (P.Backend.encode_state (P.Backend.Net (restore_ok spelled)));
+  let mesh = mesh_state "most-used" in
+  let off = mesh_strategy_offset "nsf14" in
+  Alcotest.(check int) "most-used writes tag 1" 1 (Char.code mesh.[off]);
+  match
+    P.Backend.restore (with_named_strategy mesh ~off ~tag:5 "most-used")
+  with
+  | Ok b ->
+    Alcotest.(check string) "mesh re-encodes with tag 1" mesh
+      (P.Backend.encode_state b)
+  | Error e -> Alcotest.fail ("mesh snapshot refused: " ^ e)
 
 let test_unknown_link_impl_tag () =
   let net = make_net () in
@@ -408,19 +476,33 @@ let fuzz_states () =
   ignore
     (Network.inject_fault wide
        (Fault.Stage1_laser { input = 1; middle = 3; wl = 100 }));
-  let mesh = Result.get_ok (Wdm_mesh.Mesh_network.create "nsf14") in
-  for i = 0 to 19 do
-    let wl = (i mod 8) + 1 in
-    ignore
-      (Wdm_mesh.Mesh_network.connect mesh
-         (conn (ep ((i mod 14) + 1) wl)
-            [ ep ((((i * 5) + 3) mod 14) + 1) wl;
-              ep ((((i * 5) + 10) mod 14) + 1) wl ]))
-  done;
+  (* string-tagged strategy names, so mutations reach name decoding
+     and resolution *)
+  let named strategy =
+    let net = make_net ~strategy () in
+    populate net;
+    P.Backend.encode_state (P.Backend.Net net)
+  in
+  let mesh strategy =
+    let config = { Wdm_mesh.Mesh_network.Config.default with strategy } in
+    let mesh = Result.get_ok (Wdm_mesh.Mesh_network.create ~config "nsf14") in
+    for i = 0 to 19 do
+      let wl = (i mod 8) + 1 in
+      ignore
+        (Wdm_mesh.Mesh_network.connect mesh
+           (conn (ep ((i mod 14) + 1) wl)
+              [ ep ((((i * 5) + 3) mod 14) + 1) wl;
+                ep ((((i * 5) + 10) mod 14) + 1) wl ]))
+    done;
+    P.Backend.encode_state (P.Backend.Mesh mesh)
+  in
   [
     ("k=2", P.Backend.encode_state (P.Backend.Net narrow));
     ("k=130", P.Backend.encode_state (P.Backend.Net wide));
-    ("nsf14", P.Backend.encode_state (P.Backend.Mesh mesh));
+    ("annealed", named "annealed");
+    ("crosstalk:first-fit:15", named "crosstalk:first-fit:15");
+    ("nsf14", mesh "first-fit");
+    ("nsf14 crosstalk:most-used:18", mesh "crosstalk:most-used:18");
   ]
 
 (* In a restored fabric every hop lies inside the topology and no link
@@ -471,6 +553,96 @@ let test_state_mutation_fuzz () =
           Alcotest.failf "%s: restore raised %s" label (Printexc.to_string e)
       done)
     (fuzz_states ())
+
+(* --- wire decoder mutation fuzz ------------------------------------------- *)
+
+(* Real encodings of every request, response and replication message
+   shape, from a live fabric so routes and refusals are genuine. *)
+let wire_samples () =
+  let net = make_net () in
+  let admitted = Result.get_ok (Network.connect net (conn (ep 1 1) [ ep 4 1; ep 7 1 ])) in
+  let refused =
+    match Network.connect net (conn (ep 1 1) [ ep 5 1 ]) with
+    | Error e -> e
+    | Ok _ -> Alcotest.fail "busy source admitted"
+  in
+  let blocked =
+    P.Resp.Refused
+      (Network.Blocked
+         { fanout_switches = [ 1; 3 ]; available_middles = [ 2 ]; uncovered = [ 3 ] })
+  in
+  let enc f v =
+    let b = Buffer.create 256 in
+    f b v;
+    Buffer.contents b
+  in
+  let requests =
+    List.map (fun op -> P.Resp.Admit op) sample_ops
+    @ P.Resp.
+        [ Get_digest; Get_stats; Promote;
+          Batch [ Admit (List.hd sample_ops); Get_digest; Admit (P.Op.Disconnect 4) ] ]
+  in
+  let responses =
+    P.Resp.
+      [ Admitted { route = admitted; moved = 2 }; Refused refused; blocked;
+        Released admitted; Release_failed (Network.Already_released 3);
+        Fault_applied { torn_down = 1 }; Fault_cleared; Digest_is 123456789;
+        Stats_json "{\"a\":1}"; Server_error "boom";
+        Not_leader { leader = "unix:l.sock" }; Promoted { seq = 9 };
+        Batch_reply [ Digest_is 1; Released admitted; Fault_cleared ] ]
+  in
+  let state = P.Backend.encode_state (P.Backend.Net net) in
+  let to_follower =
+    P.Repl.
+      [ Init_snapshot { epoch = 2; seq = 10; state }; Init_resume { epoch = 2; seq = 10 };
+        Rep_op { seq = 11; op = List.hd sample_ops }; Rep_digest { seq = 12; digest = 77 };
+        Goodbye { reason = "slow follower" } ]
+  in
+  ( List.map (enc P.Op.encode) sample_ops,
+    List.map (enc P.Resp.encode_request) requests,
+    List.map (enc P.Resp.encode) responses,
+    List.map (enc P.Repl.encode_to_leader)
+      P.Repl.[ Subscribe { epoch = 0; last_seq = -1 }; Ack { seq = 7; digest = 42 } ],
+    List.map (enc P.Repl.encode_to_follower) to_follower )
+
+(* Overwrite 1-4 random bytes of each encoding from a fixed seed: the
+   [*_string] decoders answer [Ok] or [Error], the reader decoders may
+   raise only [Wire.Decode_error]. *)
+let test_wire_mutation_fuzz () =
+  let rng = Random.State.make [| 0xf022 |] in
+  let mutate s =
+    let b = Bytes.of_string s in
+    for _ = 1 to 1 + Random.State.int rng 4 do
+      Bytes.set_uint8 b
+        (Random.State.int rng (Bytes.length b))
+        (Random.State.int rng 256)
+    done;
+    Bytes.to_string b
+  in
+  let total label decode samples =
+    List.iter
+      (fun s ->
+        for _ = 1 to 300 do
+          match decode (mutate s) with
+          | Ok _ | Error _ -> ()
+          | exception e ->
+            Alcotest.failf "%s raised %s" label (Printexc.to_string e)
+        done)
+      samples
+  in
+  let reader decode s =
+    match decode (P.Wire.reader s) with
+    | v -> Ok v
+    | exception P.Wire.Decode_error _ -> Error ()
+  in
+  let ops, requests, responses, to_leader, to_follower = wire_samples () in
+  total "Op.decode_string" (fun s -> Result.map ignore (P.Op.decode_string s)) ops;
+  total "Resp.decode_string"
+    (fun s -> Result.map ignore (P.Resp.decode_string s))
+    responses;
+  total "Resp.decode_request" (reader P.Resp.decode_request) requests;
+  total "Repl.decode_to_leader" (reader P.Repl.decode_to_leader) to_leader;
+  total "Repl.decode_to_follower" (reader P.Repl.decode_to_follower) to_follower
 
 (* --- wal ----------------------------------------------------------------- *)
 
@@ -660,6 +832,10 @@ let () =
             test_reference_tagged_snapshot;
           Alcotest.test_case "unknown link-impl tag refused" `Quick
             test_unknown_link_impl_tag;
+          Alcotest.test_case "unregistered strategy name refused" `Quick
+            test_unregistered_strategy_refused;
+          Alcotest.test_case "strategy alias re-encodes" `Quick
+            test_strategy_alias_reencodes;
           Alcotest.test_case "rejects inconsistent" `Quick
             test_restore_rejects_inconsistent;
           Alcotest.test_case "state codec roundtrip" `Quick
@@ -671,6 +847,8 @@ let () =
         [
           Alcotest.test_case "state decoders survive byte mutations" `Quick
             test_state_mutation_fuzz;
+          Alcotest.test_case "wire decoders survive byte mutations" `Quick
+            test_wire_mutation_fuzz;
         ] );
       ( "wal",
         [

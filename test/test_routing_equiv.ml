@@ -230,11 +230,11 @@ let lockstep_over_k ~construction ~output_model ~strategy ~m =
 
 let test_lockstep_msw () =
   lockstep_over_k ~construction:Network.Msw_dominant ~output_model:Model.MSW
-    ~strategy:Network.Min_intersection ~m:6
+    ~strategy:"min-intersection" ~m:6
 
 let test_lockstep_maw () =
   lockstep_over_k ~construction:Network.Maw_dominant ~output_model:Model.MAW
-    ~strategy:Network.First_fit ~m:5
+    ~strategy:"first-fit" ~m:5
 
 (* Past one word per link: a k = 63 fabric builds, routes on
    wavelength 63, whose bit sits alone in each link's second word, next
