@@ -1613,7 +1613,7 @@ let mesh_cmd =
   in
   let k_paths_arg =
     Arg.(value & opt int 3 & info [ "k-paths" ] ~docv:"P"
-           ~doc:"Yen candidate paths per unicast request.")
+           ~doc:"Yen candidate paths per unicast request (1..64).")
   in
   let mode_arg =
     Arg.(

@@ -42,5 +42,7 @@ val build :
 (** Covers [dests] from [src] on the subgraph passing [use_edge].
     [mc] is indexed by node (1-based; index 0 unused).  An MI source
     has a single transmitter (out-degree 1 until revisited in
-    [Hierarchy] mode).  [Error uncovered] lists the destinations (in
-    ascending order) no further graft could reach. *)
+    [Hierarchy] mode).  [dests] are node ids in [1..n]; a destination
+    equal to [src] is covered from the start.  [Error uncovered] lists
+    the destinations (in ascending order) no further graft could
+    reach. *)

@@ -51,6 +51,10 @@ type tel = {
   slots_g : Metrics.gauge;
 }
 
+(* One Yen candidate, kept compact: its cost, node sequence and the edge
+   ids along it (what the wavelength scan probes). *)
+type path = { p_cost : float; p_nodes : int list; p_edges : int array }
+
 type t = {
   graph : Graph.t;
   topo_name : string;
@@ -60,6 +64,11 @@ type t = {
   plugin : Assign.plugin;
       (* cfg.strategy, resolved once at build time; plug-ins are pure
          so sharing the resolution is safe *)
+  paths : path list option array;
+      (* [(src - 1) * n + (dst - 1)]: that pair's Yen candidates, filled
+         on its first unicast.  Yen sees no occupancy, so its answer
+         depends only on the graph and [cfg.k_paths], both fixed for
+         the network's lifetime. *)
   active : (int, route) Hashtbl.t;
   mutable next_id : int;
   mutable attempts : int;
@@ -117,9 +126,14 @@ let resolve_splitters graph = function
       List.iter (fun v -> mc.(v) <- true) nodes;
       Ok mc)
 
+(* Yen enumerates up to [k_paths] loopless paths per pair and the path
+   cache keeps them; a corrupt snapshot field must not ask for 2^31. *)
+let max_k_paths = 64
+
 let build ?telemetry ~(cfg : Config.t) ~topo_name ~mc graph =
   if cfg.k < 1 || cfg.k > 62 then Error "wavelength count must be in 1..62"
-  else if cfg.k_paths < 1 then Error "k_paths must be >= 1"
+  else if cfg.k_paths < 1 || cfg.k_paths > max_k_paths then
+    Error (Printf.sprintf "k_paths must be in 1..%d" max_k_paths)
   else
     match Assign.find_plugin cfg.strategy with
     | Error _ as e -> e
@@ -132,6 +146,7 @@ let build ?telemetry ~(cfg : Config.t) ~topo_name ~mc graph =
           mc;
           assign = Assign.create ~k:cfg.k ~m:(Graph.m graph);
           plugin;
+          paths = Array.make (Graph.n graph * Graph.n graph) None;
           active = Hashtbl.create 64;
           next_id = 1;
           attempts = 0;
@@ -199,36 +214,66 @@ let scan_order t ~hash = Assign.plugin_order t.plugin t.assign ~hash
 let admits t ~edges ~wl ~fanout =
   Assign.plugin_admits t.plugin t.assign ~edges ~wl ~fanout
 
-let try_unicast t ~hash ~src ~dst =
-  let paths =
-    Shortest.k_shortest t.graph ~src ~dst ~k:t.cfg.k_paths
-  in
-  let pick_for_path nodes =
-    let arcs = path_edges t.graph nodes in
-    let edge_ids = arc_edge_ids arcs in
-    let chosen =
-      List.find_opt
-        (fun wl ->
-          Assign.free_on t.assign ~edges:edge_ids ~wl
-          && admits t ~edges:edge_ids ~wl ~fanout:1)
-        (scan_order t ~hash)
+let unicast_paths t ~src ~dst =
+  let n = Graph.n t.graph in
+  let slot = ((src - 1) * n) + (dst - 1) in
+  match t.paths.(slot) with
+  | Some paths -> paths
+  | None ->
+    let paths =
+      List.map
+        (fun (p_cost, p_nodes) ->
+          let p_edges =
+            Array.of_list (arc_edge_ids (path_edges t.graph p_nodes))
+          in
+          { p_cost; p_nodes; p_edges })
+        (Shortest.k_shortest t.graph ~src ~dst ~k:t.cfg.k_paths)
     in
-    Option.map (fun wl -> (arcs, wl)) chosen
+    t.paths.(slot) <- Some paths;
+    paths
+
+let try_unicast t ~hash ~src ~dst =
+  let order = scan_order t ~hash in
+  let pick p =
+    List.find_opt
+      (fun wl ->
+        Array.for_all (fun e -> not (Assign.used t.assign ~edge:e ~wl)) p.p_edges
+        && admits t ~edges:(Array.to_list p.p_edges) ~wl ~fanout:1)
+      order
   in
   let rec first = function
     | [] -> Error [ dst ]
-    | (cost, nodes) :: rest -> (
-      match pick_for_path nodes with
-      | Some (arcs, wl) -> Ok (arcs, wl, cost)
+    | p :: rest -> (
+      match pick p with
+      | Some wl -> Ok (path_edges t.graph p.p_nodes, wl, p.p_cost)
       | None -> first rest)
   in
-  first paths
+  first (unicast_paths t ~src ~dst)
+
+(* How many destinations wavelength [wl] must leave uncovered, exactly:
+   a node whose every incident edge carries [wl] can be neither left
+   nor reached.  An isolated source covers nothing; otherwise each
+   isolated destination stays uncovered. *)
+let uncovered_lower_bound t ~wl ~src ~dests ~fanout =
+  let isolated v =
+    List.for_all
+      (fun (_, e) -> Assign.used t.assign ~edge:e ~wl)
+      (Graph.adj t.graph v)
+  in
+  if isolated src then fanout
+  else List.fold_left (fun acc d -> if isolated d then acc + 1 else acc) 0 dests
 
 let try_multicast t ~hash ~src ~dests =
   let order = scan_order t ~hash in
   let fanout = List.length dests in
   let rec first worst = function
     | [] -> Error (match worst with [] -> dests | w -> w)
+    | wl :: rest when
+        worst <> []
+        && uncovered_lower_bound t ~wl ~src ~dests ~fanout
+           >= List.length worst ->
+      (* this wavelength's refusal could not replace [worst] *)
+      first worst rest
     | wl :: rest -> (
       let use_edge e = not (Assign.used t.assign ~edge:e ~wl) in
       match

@@ -36,7 +36,12 @@ module Config : sig
         (** An {!Assign} plug-in registry name, resolved once at build. *)
     mode : Light_tree.mode;
     splitters : splitters;
-    k_paths : int;  (** Yen candidates for unicast routing, [>= 1] *)
+    k_paths : int;
+        (** Yen candidates for unicast routing, [1..64].  Each node
+            pair's candidates are computed on its first unicast and
+            cached for the network's lifetime: Yen runs with no
+            occupancy filter, so its answer depends only on the graph
+            and [k_paths]. *)
   }
 
   val default : t
@@ -66,7 +71,8 @@ val create :
 (** [create name] builds the {!Zoo} topology [name] (e.g. ["nsf14"],
     ["ring8"]).  Errors on an unknown topology, a [Split_nodes] id out
     of range, an unknown strategy name, or an out-of-range config
-    field. *)
+    field ([k] outside [1..62], [k_paths] outside [1..64]).  Nothing is
+    routed ahead of time: the per-pair path cache starts empty. *)
 
 val connect : t -> Connection.t -> (route, error) result
 val disconnect : t -> int -> (route, disconnect_error) result
@@ -99,7 +105,9 @@ val snapshot : t -> state
 val restore : ?telemetry:Sink.t -> state -> (t, string) result
 (** Rebuilds the graph from [s_topo] and re-derives wavelength
     occupancy by re-marking every active route, so a restored network
-    is behaviorally indistinguishable from the snapshotted one. *)
+    is behaviorally indistinguishable from the snapshotted one.  The
+    state's fields are checked like {!create}'s config: a [s_k_paths]
+    outside [1..64] is an [Error]. *)
 
 (** Refusal rendering, mirroring {!Wdm_multistage.Network.Error} so
     callers (wdmnet in particular) print both engines' refusals through

@@ -4,14 +4,31 @@ let always _ = true
 (* O(n^2) selection Dijkstra: the zoo graphs are tens of nodes, and the
    plain loop has an easy determinism story (ascending node scan means
    equal distances resolve to the smallest id with no heap-order
-   subtleties). *)
+   subtleties).  The relaxation is one recursive walk of the settled
+   node's adjacency list, reading weights straight from the edge
+   array: the light-tree grower runs this once per graft per tried
+   wavelength. *)
 let run g ~sources ~skip_node ~use_edge =
   let n = Graph.n g in
+  let edges = Graph.edges g in
   let dist = Array.make (n + 1) infinity in
   let pred = Array.make (n + 1) (-1) in (* edge id into the node *)
   let prev = Array.make (n + 1) 0 in    (* predecessor node *)
   let visited = Array.make (n + 1) false in
   List.iter (fun s -> dist.(s) <- 0.) sources;
+  let rec relax u du = function
+    | [] -> ()
+    | (v, e) :: rest ->
+      if (not visited.(v)) && (not (skip_node v)) && use_edge e then begin
+        let d = du +. edges.(e).Graph.w in
+        if d < dist.(v) then begin
+          dist.(v) <- d;
+          pred.(v) <- e;
+          prev.(v) <- u
+        end
+      end;
+      relax u du rest
+  in
   let rec loop () =
     let best = ref 0 in
     for v = 1 to n do
@@ -22,27 +39,18 @@ let run g ~sources ~skip_node ~use_edge =
     if !best <> 0 then begin
       let u = !best in
       visited.(u) <- true;
-      List.iter
-        (fun (v, e) ->
-          if (not visited.(v)) && (not (skip_node v)) && use_edge e then begin
-            let d = dist.(u) +. (Graph.edge g e).Graph.w in
-            if d < dist.(v) then begin
-              dist.(v) <- d;
-              pred.(v) <- e;
-              prev.(v) <- u
-            end
-          end)
-        (Graph.adj g u);
+      relax u dist.(u) (Graph.adj g u);
       loop ()
     end
   in
   loop ();
   (dist, pred, prev)
 
-let walk_back ~prev ~pred ~sources dst =
+(* Weights are positive, so a source keeps distance 0 and is never
+   relaxed: on a reached node, no incoming edge means a source. *)
+let walk_back ~prev ~pred dst =
   let rec go v acc =
-    if List.mem v sources && pred.(v) = -1 then v :: acc
-    else go prev.(v) (v :: acc)
+    if pred.(v) = -1 then v :: acc else go prev.(v) (v :: acc)
   in
   go dst []
 
@@ -53,7 +61,7 @@ let shortest_path ?(skip_node = never) ?(use_edge = always) g ~src ~dst =
       run g ~sources:[ src ] ~skip_node ~use_edge
     in
     if dist.(dst) = infinity then None
-    else Some (dist.(dst), walk_back ~prev ~pred ~sources:[ src ] dst)
+    else Some (dist.(dst), walk_back ~prev ~pred dst)
   end
 
 let grow ~sources ~skip_node ~use_edge ~target g =
@@ -66,7 +74,7 @@ let grow ~sources ~skip_node ~use_edge ~target g =
     then best := v
   done;
   if !best = 0 then None
-  else Some (dist.(!best), walk_back ~prev ~pred ~sources !best)
+  else Some (dist.(!best), walk_back ~prev ~pred !best)
 
 (* ----- Yen ------------------------------------------------------------- *)
 

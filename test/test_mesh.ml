@@ -1,9 +1,11 @@
 (* Tests for the mesh RWA subsystem: the topology zoo, Yen's k-shortest
    paths against brute-force enumeration, the first-fit/graph-coloring
-   equivalence on unicast traffic, the sparse-splitting invariant on
-   multicast structures, snapshot codec round-trips, campaign
-   reproducibility, and the mesh served behind the socket server with
-   WAL recovery. *)
+   equivalence on unicast traffic (which also holds the per-pair path
+   cache to fresh Yen calls), golden traces of tree, sparse-splitting
+   and k_paths routing, the sparse-splitting invariant on multicast
+   structures with the light-tree grower held to [Mesh_oracle],
+   snapshot codec round-trips, campaign reproducibility, and the mesh
+   served behind the socket server with WAL recovery. *)
 
 open Wdm_mesh
 module Core = Wdm_core
@@ -19,8 +21,9 @@ let conn src dests =
     ~destinations:(List.map (fun p -> Core.Endpoint.make ~port:p ~wl:1) dests)
 
 let mk_mesh ?(topo = "nsf14") ?(k = 4) ?(strategy = "first-fit")
-    ?(mode = Light_tree.Hierarchy) ?(splitters = Mesh_network.Split_all) () =
-  let config = { Mesh_network.Config.k; strategy; mode; splitters; k_paths = 3 } in
+    ?(mode = Light_tree.Hierarchy) ?(splitters = Mesh_network.Split_all)
+    ?(k_paths = 3) () =
+  let config = { Mesh_network.Config.k; strategy; mode; splitters; k_paths } in
   match Mesh_network.create ~config topo with
   | Ok m -> m
   | Error e -> Alcotest.fail e
@@ -111,15 +114,16 @@ let test_yen_respects_edge_filter () =
 (* --- first-fit vs graph-coloring on unicast traffic ----------------------- *)
 
 (* Greedy coloring of the active-route conflict graph, computed from the
-   route records alone: over the request's k shortest paths in order,
-   the first path on which some wavelength is carried by no active route
-   sharing an edge with it, with the smallest such wavelength.  For path
-   requests the conflict set is exactly the union of occupancy on the
-   path's edges, so both [first-fit] and its alias [coloring] must pick
-   what this oracle picks. *)
+   route records alone: over the request's k shortest paths in order
+   (Yen called afresh, so the network's per-pair path cache is held to
+   it), the first path on which some wavelength is carried by no active
+   route sharing an edge with it, with the smallest such wavelength.
+   For path requests the conflict set is exactly the union of occupancy
+   on the path's edges, so both [first-fit] and its alias [coloring]
+   must pick what this oracle picks. *)
 let coloring_oracle net active ~src ~dst =
   let g = Mesh_network.graph net in
-  let k = (Mesh_network.config net).Mesh_network.Config.k in
+  let { Mesh_network.Config.k; k_paths; _ } = Mesh_network.config net in
   let rec edges_of = function
     | a :: (b :: _ as rest) -> Option.get (Graph.edge_between g a b) :: edges_of rest
     | _ -> []
@@ -143,15 +147,31 @@ let coloring_oracle net active ~src ~dst =
           else first (wl + 1)
         in
         first 1)
-      (Shortest.k_shortest g ~src ~dst ~k:3)
+      (Shortest.k_shortest g ~src ~dst ~k:k_paths)
 
 (* Drive [first-fit] and [coloring] networks with one connect/disconnect
-   trace and hold every unicast admission of both to the oracle. *)
-let test_first_fit_coloring_equivalent () =
-  let nets = [ mk_mesh ~strategy:"first-fit" (); mk_mesh ~strategy:"coloring" () ] in
-  let rng = Random.State.make [| 42 |] in
+   trace and hold every unicast admission of both to the oracle.  The
+   connects walk every ordered node pair twice, each pass in a fresh
+   shuffled order, so every pair is routed once with an empty cache slot
+   and once from the cache. *)
+let coloring_equivalence ~topo ~k_paths =
+  let nets =
+    [ mk_mesh ~topo ~k_paths ~strategy:"first-fit" ();
+      mk_mesh ~topo ~k_paths ~strategy:"coloring" () ]
+  in
+  let n = Graph.n (Mesh_network.graph (List.hd nets)) in
+  let rng = Random.State.make [| 42; k_paths |] in
+  let shuffled () =
+    List.init (n * n) (fun i -> (Random.State.bits rng, (i / n) + 1, (i mod n) + 1))
+    |> List.sort compare
+    |> List.map (fun (_, src, dst) -> (src, dst))
+  in
+  let pending = ref (shuffled () @ shuffled ()) in
   let active = ref [] in
-  for step = 1 to 600 do
+  let step = ref 0 in
+  while !pending <> [] do
+    incr step;
+    let label = Printf.sprintf "%s k_paths=%d step %d" topo k_paths !step in
     if Random.State.int rng 100 < 35 && !active <> [] then begin
       let r = List.nth !active (Random.State.int rng (List.length !active)) in
       active := List.filter (fun (x : Mesh_network.route) -> x != r) !active;
@@ -159,14 +179,14 @@ let test_first_fit_coloring_equivalent () =
         (fun net ->
           match Mesh_network.disconnect net r.Mesh_network.id with
           | Ok released ->
-            Alcotest.(check int) "released same wl" r.Mesh_network.wl
-              released.Mesh_network.wl
-          | Error _ -> Alcotest.fail "disconnect diverged")
+            Alcotest.(check int) (label ^ ": released same wl")
+              r.Mesh_network.wl released.Mesh_network.wl
+          | Error _ -> Alcotest.fail (label ^ ": disconnect diverged"))
         nets
     end
     else begin
-      let src = 1 + Random.State.int rng 14 in
-      let dst = 1 + Random.State.int rng 14 in
+      let src, dst = List.hd !pending in
+      pending := List.tl !pending;
       let expect = coloring_oracle (List.hd nets) !active ~src ~dst in
       let got =
         List.map
@@ -182,7 +202,7 @@ let test_first_fit_coloring_equivalent () =
             (List.map (fun (_, _, e) -> e) r.arcs, r.wl)
           in
           Alcotest.(check (option (pair (list int) int)))
-            (Printf.sprintf "step %d: greedy coloring" step)
+            (label ^ ": greedy coloring")
             expect (Option.map summary r))
         got;
       match got with
@@ -195,6 +215,105 @@ let test_first_fit_coloring_equivalent () =
       Alcotest.(check int) "active count" (List.length !active)
         (Mesh_network.active_count net))
     nets
+
+let test_first_fit_coloring_equivalent () =
+  List.iter
+    (fun topo ->
+      List.iter
+        (fun k_paths -> coloring_equivalence ~topo ~k_paths)
+        [ 1; 3; 8 ])
+    [ "nsf14"; "clara"; "janet"; "torus4x4" ]
+
+(* --- golden traces of the non-default routing paths ----------------------- *)
+
+(* One seeded Erlang run recording every connect outcome: the route on
+   admit (wavelength, cost, arcs), the refusal with its uncovered list
+   on block.  The CRC of that trace, the persisted digest and the
+   admission counts pin the tree grower, sparse splitting and Yen's
+   candidate count on two topologies; the values were recorded before
+   the path cache and the array-based grower existed. *)
+let golden_trace ~topo ~offered ~k ~mode ~splitters ~k_paths =
+  let config =
+    { Mesh_network.Config.k; strategy = "first-fit"; mode; splitters; k_paths }
+  in
+  let net =
+    match Mesh_network.create ~config topo with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  let trace = Buffer.create 4096 in
+  let sut =
+    {
+      Wdm_traffic.Churn.connect =
+        (fun c ->
+          match Mesh_network.connect net c with
+          | Ok route ->
+            Buffer.add_string trace
+              (Format.asprintf "+%a;" Mesh_network.pp_route route);
+            Ok route.Mesh_network.id
+          | Error e ->
+            Buffer.add_string trace
+              ("!" ^ Mesh_network.Error.to_string e ^ ";");
+            Error e);
+      disconnect = (fun id -> ignore (Mesh_network.disconnect net id));
+    }
+  in
+  let point =
+    Wdm_traffic.Erlang.run
+      (Random.State.make [| 2718 |])
+      ~nodes:(Graph.n (Mesh_network.graph net))
+      ~fanout:(Wdm_traffic.Fanout.Zipf { max = 5; s = 1.2 })
+      ~offered ~arrivals:600 sut
+  in
+  (Buffer.contents trace, Backend.digest (Backend.Mesh net), point)
+
+(* (label, topology, offered Erlangs, k, mode, splitters, k_paths,
+    trace CRC-32, digest, accepted, blocked) *)
+let mesh_golden =
+  let open Light_tree in
+  let open Mesh_network in
+  List.concat_map
+    (fun (topo, offered, pins) ->
+      List.map2
+        (fun (label, k, mode, splitters, k_paths) (crc, digest, acc, blk) ->
+          ( label, topo, offered, k, mode, splitters, k_paths,
+            crc, digest, acc, blk ))
+        [
+          ("tree/none", 8, Tree, Split_none, 3);
+          ("hierarchy/deg>=3", 8, Hierarchy, Split_degree_ge 3, 3);
+          ("k_paths=1", 8, Hierarchy, Split_all, 1);
+          ("k_paths=8", 8, Hierarchy, Split_all, 8);
+        ]
+        pins)
+    [
+      ( "nsf14",
+        30.,
+        [
+          (810754413, 2221273360, 466, 134);
+          (317345805, 452752728, 477, 123);
+          (1872101952, 719276195, 480, 120);
+          (706763285, 3379200818, 512, 88);
+        ] );
+      ( "torus4x4",
+        60.,
+        [
+          (4177010094, 1911885286, 456, 144);
+          (4239200289, 4228347045, 498, 102);
+          (3216961828, 703195557, 456, 144);
+          (2605302156, 897929853, 463, 137);
+        ] );
+    ]
+
+let test_mesh_golden () =
+  List.iter
+    (fun (label, topo, offered, k, mode, splitters, k_paths, crc, digest, acc, blk) ->
+      let tr, dg, pt = golden_trace ~topo ~offered ~k ~mode ~splitters ~k_paths in
+      let label = topo ^ " " ^ label in
+      Alcotest.(check int) (label ^ " trace") crc (Wdm_persist.Crc32.string tr);
+      Alcotest.(check int) (label ^ " digest") digest dg;
+      Alcotest.(check int) (label ^ " accepted") acc pt.Wdm_traffic.Erlang.accepted;
+      Alcotest.(check int) (label ^ " blocked") blk pt.Wdm_traffic.Erlang.blocked)
+    mesh_golden
 
 (* --- sparse-splitting invariant ------------------------------------------- *)
 
@@ -230,26 +349,50 @@ let check_structure ~mc ~src ~mode (route : Mesh_network.route) =
         failwith (Printf.sprintf "tree revisits node %d" v))
     indeg
 
+(* On each draw the library's [Light_tree.build] is also held to the
+   pre-array grower kept in [Mesh_oracle], in both modes, over a random
+   edge mask: same arcs in the same order and the same cost, or the
+   same uncovered list. *)
 let prop_no_branching_at_mi_nodes =
+  let topos = [| "nsf14"; "clara"; "janet"; "torus4x4"; "ring8" |] in
   QCheck.Test.make ~count:150 ~name:"no branching at splitting-incapable nodes"
     QCheck.(triple small_nat (int_range 1 3) bool)
     (fun (seed, fan, tree) ->
       let rng = Random.State.make [| seed; 77 |] in
       let mode = if tree then Light_tree.Tree else Light_tree.Hierarchy in
+      let topo = topos.(seed mod Array.length topos) in
+      let n =
+        match Zoo.by_name topo with
+        | Ok g -> Graph.n g
+        | Error e -> failwith e
+      in
       (* a random minority of nodes can split *)
       let mc_list =
-        List.filter (fun _ -> Random.State.int rng 4 = 0) (List.init 14 succ)
+        List.filter (fun _ -> Random.State.int rng 4 = 0) (List.init n succ)
       in
       let splitters = Mesh_network.Split_nodes mc_list in
-      let m = mk_mesh ~k:3 ~mode ~splitters () in
+      let m = mk_mesh ~topo ~k:3 ~mode ~splitters () in
+      let g = Mesh_network.graph m in
       let mc = Mesh_network.mc_nodes m in
+      let mc_arr = Array.init (n + 1) (fun v -> List.mem v mc) in
       let ok = ref true in
       for _ = 1 to 40 do
-        let src = 1 + Random.State.int rng 14 in
+        let src = 1 + Random.State.int rng n in
         let dests =
           List.sort_uniq compare
-            (List.init (1 + fan) (fun _ -> 1 + Random.State.int rng 14))
+            (List.init (1 + fan) (fun _ -> 1 + Random.State.int rng n))
         in
+        let mask = Array.init (Graph.m g) (fun _ -> Random.State.int rng 4 > 0) in
+        List.iter
+          (fun mode ->
+            let grow build =
+              build ~mode ~mc:mc_arr ~use_edge:(fun e -> mask.(e)) g ~src ~dests
+            in
+            if grow Light_tree.build <> grow Mesh_oracle.build then
+              QCheck.Test.fail_reportf "%s: grower differs from oracle %d->[%s]"
+                topo src
+                (String.concat "," (List.map string_of_int dests)))
+          [ Light_tree.Tree; Light_tree.Hierarchy ];
         match Mesh_network.connect m (conn src dests) with
         | Ok route -> (
           match check_structure ~mc ~src ~mode route with
@@ -425,6 +568,7 @@ let () =
         [
           Alcotest.test_case "first-fit = coloring on paths" `Quick
             test_first_fit_coloring_equivalent;
+          Alcotest.test_case "golden traces" `Quick test_mesh_golden;
         ] );
       ( "splitting",
         [ QCheck_alcotest.to_alcotest prop_no_branching_at_mi_nodes ] );

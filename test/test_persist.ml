@@ -454,6 +454,35 @@ let test_restore_refuses_implausible_shape () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "k = 100000 restored"
 
+(* Yen enumerates up to [k_paths] loopless paths per pair and the mesh
+   caches them, so a bit-flipped [k_paths] in a snapshot (65, 2^31) must
+   be refused at restore, before any pair is routed. *)
+let test_mesh_k_paths_bound () =
+  let module Mesh = Wdm_mesh.Mesh_network in
+  let config k_paths = { Mesh.Config.default with k_paths } in
+  (match Mesh.create ~config:(config 64) "nsf14" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("k_paths = 64 refused: " ^ e));
+  (match Mesh.create ~config:(config 65) "nsf14" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "k_paths = 65 built");
+  let mesh = Result.get_ok (Mesh.create "nsf14") in
+  ignore (Mesh.connect mesh (conn (ep 1 1) [ ep 9 1; ep 12 1 ]));
+  let state = Mesh.snapshot mesh in
+  (match P.Backend.restore (P.Backend.encode_mesh_state state) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("intact mesh snapshot refused: " ^ e));
+  List.iter
+    (fun k_paths ->
+      let bad = P.Backend.encode_mesh_state { state with Mesh.s_k_paths = k_paths } in
+      (match P.Backend.decode_mesh_state bad with
+      | Ok s -> Alcotest.(check int) "field decoded" k_paths s.Mesh.s_k_paths
+      | Error e -> Alcotest.fail e);
+      match P.Backend.restore bad with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "k_paths = %d restored" k_paths)
+    [ 65; 1 lsl 31 ]
+
 (* --- state decoder mutation fuzz ------------------------------------------ *)
 
 (* Real snapshots to damage: a k = 2 fabric and a k = 130 one (three
@@ -643,6 +672,163 @@ let test_wire_mutation_fuzz () =
   total "Resp.decode_request" (reader P.Resp.decode_request) requests;
   total "Repl.decode_to_leader" (reader P.Repl.decode_to_leader) to_leader;
   total "Repl.decode_to_follower" (reader P.Repl.decode_to_follower) to_follower
+
+(* --- json and wal mutation fuzz -------------------------------------------- *)
+
+let mutate_bytes rng s =
+  let b = Bytes.of_string s in
+  for _ = 1 to 1 + Random.State.int rng 4 do
+    Bytes.set_uint8 b
+      (Random.State.int rng (Bytes.length b))
+      (Random.State.int rng 256)
+  done;
+  Bytes.to_string b
+
+(* A /metrics-style registry snapshot (counters, a gauge, a histogram
+   with observations) and a mesh_blocking document as [wdmnet mesh
+   --json] writes it, each damaged in 1-4 bytes from a fixed seed:
+   [Json.parse] answers [Ok] or [Error], never raises. *)
+let test_json_mutation_fuzz () =
+  let module J = Wdm_telemetry.Json in
+  let module M = Wdm_telemetry.Metrics in
+  let m = M.create () in
+  M.add (M.counter m ~help:"Accepted connects" "connects_total") 41;
+  M.set (M.gauge m ~help:"Active routes" "active_routes") 12.5;
+  let h = M.histogram m ~help:"Admission latency" "connect_seconds" in
+  List.iter (Wdm_telemetry.Histogram.observe h) [ 1e-6; 3e-5; 2e-3; 0.4 ];
+  let metrics = J.to_string (M.to_json (M.snapshot m)) in
+  let spec =
+    {
+      Wdm_mesh.Campaign.quick with
+      Wdm_mesh.Campaign.topos = [ "janet" ];
+      loads = [ 6. ];
+      arrivals = 60;
+    }
+  in
+  let cells =
+    match Wdm_mesh.Campaign.run spec with
+    | Ok cells -> cells
+    | Error e -> Alcotest.fail e
+  in
+  let blocking =
+    J.to_string
+      (J.Obj
+         [
+           ("seed", J.Int spec.Wdm_mesh.Campaign.seed);
+           ( "cells",
+             J.List
+               (List.map
+                  (fun (c : Wdm_mesh.Campaign.cell) ->
+                    let p = c.Wdm_mesh.Campaign.point in
+                    J.Obj
+                      [
+                        ("topo", J.String c.Wdm_mesh.Campaign.topo);
+                        ("strategy", J.String c.Wdm_mesh.Campaign.strategy);
+                        ("accepted", J.Int p.Wdm_traffic.Erlang.accepted);
+                        ("blocked", J.Int p.Wdm_traffic.Erlang.blocked);
+                        ("blocking", J.Float p.Wdm_traffic.Erlang.blocking);
+                      ])
+                  cells) );
+         ])
+  in
+  let rng = Random.State.make [| 0x1503 |] in
+  List.iter
+    (fun (label, doc) ->
+      (match J.parse doc with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: intact document refused: %s" label e);
+      for _ = 1 to 2000 do
+        match J.parse (mutate_bytes rng doc) with
+        | Ok _ | Error _ -> ()
+        | exception e ->
+          Alcotest.failf "%s: Json.parse raised %s" label (Printexc.to_string e)
+      done)
+    [ ("metrics", metrics); ("mesh_blocking", blocking) ]
+
+(* WALs written by a short fabric churn and a short mesh churn, damaged
+   in 1-4 bytes on disk: [Wal.read] answers [Ok] or [Error], never
+   raises. *)
+let test_wal_mutation_fuzz () =
+  let dir = Filename.temp_file "wdm_wal_fuzz" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let record name drive =
+    let path = Filename.concat dir name in
+    let w = P.Wal.create path in
+    drive (P.Wal.append w);
+    P.Wal.close w;
+    In_channel.with_open_bin path In_channel.input_all
+  in
+  let fabric =
+    record "fabric.wal" (fun append ->
+        let net = make_net () in
+        let sut =
+          {
+            Wdm_traffic.Churn.connect =
+              (fun c ->
+                append (P.Op.Connect c);
+                Result.map (fun r -> r.Network.id) (Network.connect net c));
+            disconnect =
+              (fun id ->
+                append (P.Op.Disconnect id);
+                ignore (Network.disconnect net id));
+          }
+        in
+        ignore
+          (Wdm_traffic.Churn.run
+             (Random.State.make [| 15 |])
+             ~spec:(Topology.spec (Network.topology net)) ~model:Model.MSW
+             ~fanout:(Wdm_traffic.Fanout.Zipf { max = 4; s = 1.0 })
+             ~steps:80 ~teardown_bias:0.3 sut))
+  in
+  let mesh =
+    record "mesh.wal" (fun append ->
+        let net =
+          Result.get_ok (Wdm_mesh.Mesh_network.create "nsf14")
+        in
+        let sut =
+          {
+            Wdm_traffic.Churn.connect =
+              (fun c ->
+                append (P.Op.Connect c);
+                Result.map
+                  (fun r -> r.Wdm_mesh.Mesh_network.id)
+                  (Wdm_mesh.Mesh_network.connect net c));
+            disconnect =
+              (fun id ->
+                append (P.Op.Disconnect id);
+                ignore (Wdm_mesh.Mesh_network.disconnect net id));
+          }
+        in
+        ignore
+          (Wdm_traffic.Erlang.run
+             (Random.State.make [| 15 |])
+             ~nodes:14
+             ~fanout:(Wdm_traffic.Fanout.Zipf { max = 4; s = 1.2 })
+             ~offered:20. ~arrivals:60 sut))
+  in
+  let damaged = Filename.concat dir "damaged.wal" in
+  let rng = Random.State.make [| 0x3a1 |] in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun (label, bytes) ->
+          (match P.Wal.read (Filename.concat dir label) with
+          | Ok { tear = None; ops } when ops <> [] -> ()
+          | _ -> Alcotest.failf "%s: intact WAL not read back whole" label);
+          for _ = 1 to 300 do
+            Out_channel.with_open_bin damaged (fun oc ->
+                Out_channel.output_string oc (mutate_bytes rng bytes));
+            match P.Wal.read damaged with
+            | Ok _ | Error _ -> ()
+            | exception e ->
+              Alcotest.failf "%s: Wal.read raised %s" label
+                (Printexc.to_string e)
+          done)
+        [ ("fabric.wal", fabric); ("mesh.wal", mesh) ])
 
 (* --- wal ----------------------------------------------------------------- *)
 
@@ -842,6 +1028,8 @@ let () =
             test_state_codec_roundtrip;
           Alcotest.test_case "refuses implausible shape" `Quick
             test_restore_refuses_implausible_shape;
+          Alcotest.test_case "refuses an unbounded mesh k_paths" `Quick
+            test_mesh_k_paths_bound;
         ] );
       ( "fuzz",
         [
@@ -849,6 +1037,10 @@ let () =
             test_state_mutation_fuzz;
           Alcotest.test_case "wire decoders survive byte mutations" `Quick
             test_wire_mutation_fuzz;
+          Alcotest.test_case "json parser survives byte mutations" `Quick
+            test_json_mutation_fuzz;
+          Alcotest.test_case "wal reader survives byte mutations" `Quick
+            test_wal_mutation_fuzz;
         ] );
       ( "wal",
         [
