@@ -12,8 +12,9 @@ bench:
 	dune exec bench/main.exe
 
 # the CI profile: trimmed iteration counts, then schema-check the
-# BENCH_results.json it wrote (routing throughput, WAL overhead,
-# snapshot/restore timings, recovery digest check)
+# BENCH_results.json it wrote (micro-benchmarks, routing throughput
+# with its route-identity check, mesh blocking, strategy comparison);
+# the served layers are measured by perfbench/run.py
 bench-quick:
 	dune exec bench/main.exe -- --quick
 	dune exec bench/main.exe -- --validate BENCH_results.json

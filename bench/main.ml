@@ -486,13 +486,6 @@ let blocking_vs_load () =
 module J = Wdm_telemetry.Json
 
 module Op = Wdm_persist.Op
-module Store = Wdm_persist.Store
-module Wal = Wdm_persist.Wal
-module Resp = Wdm_persist.Resp
-module Server = Wdm_server.Server
-module Client = Wdm_server.Client
-module Evloop = Wdm_server.Evloop
-module Protocol = Wdm_server.Protocol
 
 (* A recorded network workload: the churn driver runs once against a
    scratch network (so every request is admissible and the teardown ids
@@ -667,575 +660,49 @@ let routing_throughput ~quick () =
         moves)
     rows;
   print_newline ();
-  ( ( "routing_throughput",
-      J.Obj
-        [
-        ( "params",
-          J.Obj
-            [
-              ("big_n", J.Int (n * r));
-              ("n", J.Int n);
-              ("r", J.Int r);
-              ("k", J.Int k);
-              ("m", J.Int m);
-              ("steps", J.Int steps);
-              ("connect_ops", J.Int connects);
-              ("total_ops", J.Int (Array.length ops));
-            ] );
-        ( "impls",
-          J.List
-            [
-              J.Obj
-                [
-                  ("impl", J.String "packed");
-                  ("elapsed_s", J.Float dt);
-                  ("accepted", J.Int accepted);
-                  ("connects_per_s", J.Float cps);
-                ];
-            ] );
-        ("routes_identical", J.Bool identical);
-        ( "rearrangement",
-          J.List
-            (List.map
-               (fun (n, k, m, sname, mean_us, admitted, moves) ->
-                 J.Obj
-                   [
-                     ("n", J.Int n);
-                     ("k", J.Int k);
-                     ("m", J.Int m);
-                     ("strategy", J.String sname);
-                     ("mean_us", J.Float mean_us);
-                     ("admitted", J.Bool admitted);
-                     ("moves", J.Int moves);
-                   ])
-               rows) );
-      ] ),
-    (topo, ops, dt) )
-
-(* ----------------------------------------------------------------- *)
-(* Persistence: WAL overhead, snapshot/restore throughput             *)
-(* ----------------------------------------------------------------- *)
-
-(* Replays the recorded trace once more while logging every op
-   to a live Store session — the difference against the no-persist
-   replay is the WAL's per-op tax.  The final state then prices the
-   snapshot path (encode + write, decode + restore) and a full
-   record / recover cycle closes the loop: the recovered network must
-   fingerprint identically to the one that never crashed. *)
-let persistence_bench ~topo ~ops ~dt_baseline =
-  section "Persistence (WAL overhead, snapshot/restore throughput)";
-  let wal = "bench_wal.tmp" in
-  let cleanup () =
-    List.iter
-      (fun p -> if Sys.file_exists p then Sys.remove p)
-      (wal :: List.map (fun s -> Store.snapshot_path ~wal ~seq:s)
-                (List.init 16 Fun.id))
-  in
-  cleanup ();
-  (* same sink arrangement as the baseline replay, so the delta is the
-     WAL's tax alone *)
-  let net =
-    Network.create
-      ~config:
-        {
-          Network.Config.default with
-          telemetry = Some (Wdm_telemetry.Sink.create ());
-        }
-      ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
-  in
-  let store = Store.start ~wal net in
-  let t0 = Unix.gettimeofday () in
-  Array.iter
-    (fun op ->
-      Store.log store op;
-      ignore (Op.apply net op))
-    ops;
-  let dt_wal = Unix.gettimeofday () -. t0 in
-  Store.checkpoint store net;
-  let records = Store.wal_records store in
-  let wal_bytes = Store.wal_offset store in
-  let digest_live = Store.digest net in
-  Store.close store;
-  let overhead_pct = (dt_wal -. dt_baseline) /. dt_baseline *. 100. in
-  Printf.printf
-    "WAL: %d records, %d bytes; replay+log %.3f s vs %.3f s baseline \
-     (%.1f%% overhead)\n"
-    records wal_bytes dt_wal dt_baseline overhead_pct;
-  let snap = Network.snapshot net in
-  let state = Store.encode_state snap in
-  let iters = 20 in
-  let snap_tmp = wal ^ ".snapbench" in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    Store.write_snapshot ~path:snap_tmp ~seq:0 ~wal_offset:wal_bytes snap
-  done;
-  let write_ms = (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e3 in
-  Sys.remove snap_tmp;
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    match Store.decode_state state with
-    | Ok s -> ignore (Network.restore s)
-    | Error e -> failwith e
-  done;
-  let restore_ms = (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e3 in
-  Printf.printf
-    "snapshot: %d bytes, %d routes; write %.2f ms, decode+restore %.2f ms\n"
-    (String.length state)
-    (List.length snap.Network.s_routes)
-    write_ms restore_ms;
-  let replayed, digest_match =
-    match Store.recover ~wal () with
-    | Ok r -> (r.Store.replayed, Store.digest r.Store.network = digest_live)
-    | Error e ->
-      cleanup ();
-      failwith (Format.asprintf "persistence_bench: %a" Store.pp_recovery_error e)
-  in
-  Printf.printf "recovery: %d ops replayed, digest match: %b\n\n" replayed
-    digest_match;
-  if not digest_match then begin
-    cleanup ();
-    failwith "persistence_bench: recovered network diverged from live state"
-  end;
-  cleanup ();
-  ( "persistence",
+  ( "routing_throughput",
     J.Obj
       [
-        ( "wal",
-          J.Obj
-            [
-              ("records", J.Int records);
-              ("bytes", J.Int wal_bytes);
-              ("elapsed_s", J.Float dt_wal);
-              ("baseline_s", J.Float dt_baseline);
-              ("overhead_pct", J.Float overhead_pct);
-            ] );
-        ( "snapshot",
-          J.Obj
-            [
-              ("bytes", J.Int (String.length state));
-              ("routes", J.Int (List.length snap.Network.s_routes));
-              ("write_ms", J.Float write_ms);
-              ("restore_ms", J.Float restore_ms);
-            ] );
-        ( "recovery",
-          J.Obj
-            [ ("replayed", J.Int replayed); ("digest_match", J.Bool digest_match) ]
-        );
-      ] )
-
-(* ----------------------------------------------------------------- *)
-(* Control-plane serving: requests/s over a loopback socket           *)
-(* ----------------------------------------------------------------- *)
-
-(* The same recorded trace, driven through `wdmnet serve`'s machinery
-   over a unix socket by a single synchronous client — so the delta
-   against the in-process replay prices the whole control-plane stack
-   (framing, CRC, the socket round trip and one event-loop pass per
-   request).  The served network must land on the same state digest as
-   an in-process twin, which is the bench-level version of the
-   socket-vs-in-process equivalence test.
-
-   Two more passes ride on the event-driven server: the same trace
-   shipped pipelined (Batch frames of up to 64 ops — one round-trip
-   per batch instead of per op), and that pipelined pass repeated with
-   ~10k idle connections parked on the loop, which prices readiness
-   notification at scale (each idle conn is a buffer, not a thread). *)
-let batch_chunk = 64
-
-let serve_pipelined client ops =
-  let answered = ref 0 in
-  let n = Array.length ops in
-  let t0 = Unix.gettimeofday () in
-  let i = ref 0 in
-  while !i < n do
-    let take = min batch_chunk (n - !i) in
-    let reqs = List.init take (fun j -> Resp.Admit ops.(!i + j)) in
-    (match Client.request_batch client reqs with
-    | Ok rs -> answered := !answered + List.length rs
-    | Error e -> failwith ("serving_bench: " ^ Client.error_to_string e));
-    i := !i + take
-  done;
-  (!answered, Unix.gettimeofday () -. t0)
-
-(* Park [want] hello'd connections on the server's event loop; they
-   are real protocol clients that simply never send a request. *)
-let park_idle_conns addr want =
-  let sockaddr =
-    match addr with
-    | Server.Unix_socket path -> Unix.ADDR_UNIX path
-    | Server.Tcp (host, port) ->
-      Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
-  in
-  let conns = ref [] in
-  (try
-     for _ = 1 to want do
-       let fd =
-         Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0
-       in
-       match
-         Unix.connect fd sockaddr;
-         Protocol.write_all fd Protocol.client_hello
-       with
-       | () -> conns := fd :: !conns
-       | exception (Unix.Unix_error _ | Sys_error _) ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise Exit
-     done
-   with Exit -> ());
-  !conns
-
-let serving_bench ~topo ~ops ~dt_baseline =
-  section "Control-plane serving (unix socket, single client)";
-  let make () =
-    Network.create
-      ~config:
-        {
-          Network.Config.default with
-          telemetry = Some (Wdm_telemetry.Sink.create ());
-        }
-      ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
-  in
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "wdm_bench_%d.sock" (Unix.getpid ()))
-  in
-  let dial srv =
-    match Client.connect (Server.address srv) with
-    | Ok c -> c
-    | Error e ->
-      Server.stop srv;
-      failwith ("serving_bench: " ^ Client.error_to_string e)
-  in
-  let finish srv client =
-    let digest =
-      match Client.digest client with
-      | Ok d -> d
-      | Error e -> failwith ("serving_bench: " ^ Client.error_to_string e)
-    in
-    Client.close client;
-    Server.stop srv;
-    digest
-  in
-  let twin = make () in
-  Array.iter (fun op -> ignore (Op.apply twin op)) ops;
-  let twin_digest = Store.digest twin in
-  (* pass 1: one request per round-trip *)
-  let srv = Server.start ~net:(make ()) (Server.Unix_socket sock) in
-  let client = dial srv in
-  let answered = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  Array.iter
-    (fun op ->
-      match Client.request client (Resp.Admit op) with
-      | Ok _ -> incr answered
-      | Error e -> failwith ("serving_bench: " ^ Client.error_to_string e))
-    ops;
-  let dt = Unix.gettimeofday () -. t0 in
-  let digest = finish srv client in
-  (* pass 2: pipelined, with up to ~10k idle connections parked on the
-     loop (as many as the fd limit leaves headroom for) *)
-  let want_idle = 10_000 in
-  let idle_target =
-    (* select's FD_SETSIZE would overflow; epoll has no such ceiling.
-       Both ends of each parked connection live in this process, so a
-       connection costs two fds against the limit. *)
-    if Evloop.available_backend () <> "epoll" then 256
-    else
-      let limit = Evloop.ensure_fd_capacity ((2 * want_idle) + 256) in
-      if limit < 0 then want_idle else max 0 (min want_idle ((limit - 256) / 2))
-  in
-  let pipelined_pass () =
-    let srv2 = Server.start ~net:(make ()) (Server.Unix_socket sock) in
-    let idle = park_idle_conns (Server.address srv2) idle_target in
-    let client2 = dial srv2 in
-    let answered_p, dt_pipe = serve_pipelined client2 ops in
-    let idle_conns = List.length idle in
-    List.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      idle;
-    let digest_p = finish srv2 client2 in
-    (answered_p, dt_pipe, idle_conns, digest_p)
-  in
-  (* best of 3: a fresh server each time, so the digest gate holds on
-     every attempt, not just the fastest *)
-  let answered_p, dt_pipe, idle_conns, digest_p =
-    let best = ref (pipelined_pass ()) in
-    for _ = 2 to 3 do
-      let (_, dt, _, _) as run = pipelined_pass () in
-      let _, dt_best, _, _ = !best in
-      let _, _, _, d = run in
-      if d <> twin_digest then
-        failwith "serving_bench: pipelined pass diverged from twin";
-      if dt < dt_best then best := run
-    done;
-    !best
-  in
-  let digest_match = twin_digest = digest && twin_digest = digest_p in
-  let rps = float_of_int !answered /. dt in
-  let rps_pipe = float_of_int answered_p /. dt_pipe in
-  let inproc = float_of_int (Array.length ops) /. dt_baseline in
-  Printf.printf
-    "served : %d requests in %.3f s  %8.0f requests/s\n" !answered dt rps;
-  Printf.printf
-    "pipelined: %d requests in %.3f s  %8.0f requests/s  (batch %d, %d idle conns, best of 3)\n"
-    answered_p dt_pipe rps_pipe batch_chunk idle_conns;
-  Printf.printf
-    "inproc : %d ops      in %.3f s  %8.0f ops/s  (socket tax: %.1fx seq, %.1fx pipelined)\n"
-    (Array.length ops) dt_baseline inproc (inproc /. rps) (inproc /. rps_pipe);
-  Printf.printf "digest match vs in-process twin: %b\n\n" digest_match;
-  if not digest_match then
-    failwith "serving_bench: served network diverged from in-process twin";
-  ( "serving",
-    J.Obj
-      [
-        ("requests", J.Int !answered);
-        ("elapsed_s", J.Float dt);
-        ("requests_per_s", J.Float rps);
-        ("pipelined_requests_per_s", J.Float rps_pipe);
-        ("pipelined_slowdown", J.Float (inproc /. rps_pipe));
-        ("idle_conns", J.Int idle_conns);
-        ("inproc_ops_per_s", J.Float inproc);
-        ("slowdown", J.Float (inproc /. rps));
-        ("digest_match", J.Bool digest_match);
-      ] )
-
-(* ----------------------------------------------------------------- *)
-(* Replication: leader throughput with one follower attached          *)
-(* ----------------------------------------------------------------- *)
-
-(* The cost of shipping the committed-op stream: the same request
-   array served by a standalone leader and by a leader with one live
-   follower, plus how far the follower trailed when the last response
-   landed and how long the gap took to drain.  Digest equality across
-   the pair is the correctness gate. *)
-let replication_bench ~topo ~ops =
-  section "Replication (leader + 1 follower, unix sockets)";
-  let make () =
-    Network.create
-      ~config:
-        {
-          Network.Config.default with
-          telemetry = Some (Wdm_telemetry.Sink.create ());
-        }
-      ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
-  in
-  let sock tag =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "wdm_bench_%s_%d.sock" tag (Unix.getpid ()))
-  in
-  let drive srv =
-    let client =
-      match Client.connect (Server.address srv) with
-      | Ok c -> c
-      | Error e ->
-        Server.stop srv;
-        failwith ("replication_bench: " ^ Client.error_to_string e)
-    in
-    let answered = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    Array.iter
-      (fun op ->
-        match Client.request client (Resp.Admit op) with
-        | Ok _ -> incr answered
-        | Error e -> failwith ("replication_bench: " ^ Client.error_to_string e))
-      ops;
-    let dt = Unix.gettimeofday () -. t0 in
-    (client, !answered, dt)
-  in
-  let digest_of client =
-    match Client.digest client with
-    | Ok d -> d
-    | Error e -> failwith ("replication_bench: " ^ Client.error_to_string e)
-  in
-  (* standalone baseline *)
-  let alone = Server.start ~net:(make ()) (Server.Unix_socket (sock "alone")) in
-  let c0, answered, dt_alone = drive alone in
-  Client.close c0;
-  Server.stop alone;
-  (* the same stream with a follower subscribed *)
-  let leader =
-    Server.start ~net:(make ()) (Server.Unix_socket (sock "leader"))
-  in
-  let follower =
-    Server.start
-      ~follower:{ Server.leader = Server.address leader; wal = None }
-      ~net:(make ())
-      (Server.Unix_socket (sock "follower"))
-  in
-  let c1, _, dt_repl = drive leader in
-  let target = Server.applied leader in
-  let lag = max 0 (target - Server.applied follower) in
-  let t0 = Unix.gettimeofday () in
-  let deadline = t0 +. 30.0 in
-  while Server.applied follower < target && Unix.gettimeofday () < deadline do
-    Thread.delay 0.001
-  done;
-  let catchup = Unix.gettimeofday () -. t0 in
-  if Server.applied follower < target then
-    failwith "replication_bench: follower never caught up";
-  let leader_digest = digest_of c1 in
-  Client.close c1;
-  let follower_digest =
-    match Client.connect (Server.address follower) with
-    | Ok c ->
-      let d = digest_of c in
-      Client.close c;
-      d
-    | Error e -> failwith ("replication_bench: " ^ Client.error_to_string e)
-  in
-  Server.stop leader;
-  Server.stop follower;
-  let digest_match = leader_digest = follower_digest in
-  let rps_alone = float_of_int answered /. dt_alone in
-  let rps_repl = float_of_int answered /. dt_repl in
-  let overhead_pct = (dt_repl -. dt_alone) /. dt_alone *. 100. in
-  Printf.printf
-    "standalone : %d requests in %.3f s  %8.0f requests/s\n" answered dt_alone
-    rps_alone;
-  Printf.printf
-    "replicated : %d requests in %.3f s  %8.0f requests/s  (overhead: %.1f%%)\n"
-    answered dt_repl rps_repl overhead_pct;
-  Printf.printf "follower lag at completion: %d ops, drained in %.3f s\n" lag
-    catchup;
-  Printf.printf "digest match leader vs follower: %b\n\n" digest_match;
-  if not digest_match then
-    failwith "replication_bench: follower state diverged from the leader";
-  ( "replication",
-    J.Obj
-      [
-        ("requests", J.Int answered);
-        ("standalone_requests_per_s", J.Float rps_alone);
-        ("replicated_requests_per_s", J.Float rps_repl);
-        ("overhead_pct", J.Float overhead_pct);
-        ("follower_lag_ops", J.Int lag);
-        ("catchup_s", J.Float catchup);
-        ("digest_match", J.Bool digest_match);
-      ] )
-
-(* ----------------------------------------------------------------- *)
-(* Request-stage latency: where a served request spends its time      *)
-(* ----------------------------------------------------------------- *)
-
-(* The serving trace again, but with telemetry attached so every
-   request is decomposed into decode / execute / wal / replicate /
-   respond stage histograms (DESIGN.md §11), reported as
-   p50/p95/p99 per stage.  The same trace also runs with telemetry
-   off: the delta prices what tracing costs when nothing subscribes —
-   the disabled path takes no timestamps at all, so the overhead
-   should vanish into run-to-run noise (gate: <= 3% on the best of
-   [repeats] runs each way). *)
-let stage_latency_bench ~topo ~ops =
-  section "Request-stage latency (traced serving, unix socket)";
-  let module Tel = Wdm_telemetry in
-  let make () =
-    Network.create
-      ~config:
-        { Network.Config.default with telemetry = Some (Tel.Sink.create ()) }
-      ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
-  in
-  let sock tag =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "wdm_bench_stage_%s_%d.sock" tag (Unix.getpid ()))
-  in
-  let serve_once ?telemetry tag =
-    let srv =
-      Server.start ?telemetry ~net:(make ()) (Server.Unix_socket (sock tag))
-    in
-    let client =
-      match Client.connect (Server.address srv) with
-      | Ok c -> c
-      | Error e ->
-        Server.stop srv;
-        failwith ("stage_latency_bench: " ^ Client.error_to_string e)
-    in
-    let t0 = Unix.gettimeofday () in
-    Array.iter
-      (fun op ->
-        match Client.request client (Resp.Admit op) with
-        | Ok _ -> ()
-        | Error e ->
-          failwith ("stage_latency_bench: " ^ Client.error_to_string e))
-      ops;
-    let dt = Unix.gettimeofday () -. t0 in
-    Client.close client;
-    Server.stop srv;
-    dt
-  in
-  let repeats = 3 in
-  let best f =
-    let rec go n acc = if n = 0 then acc else go (n - 1) (min acc (f ())) in
-    go (repeats - 1) (f ())
-  in
-  let dt_off = best (fun () -> serve_once "off") in
-  (* a fresh sink per traced run so the reported histograms cover
-     exactly one pass of the trace; timing still takes the best run *)
-  let last_sink = ref None in
-  let dt_on =
-    best (fun () ->
-        let sink = Tel.Sink.create () in
-        last_sink := Some sink;
-        serve_once ~telemetry:sink "on")
-  in
-  let snap =
-    match !last_sink with
-    | Some sink -> Tel.Sink.snapshot sink
-    | None -> assert false
-  in
-  let requests = Array.length ops in
-  let overhead_pct = (dt_on -. dt_off) /. dt_off *. 100. in
-  let overhead_ok = overhead_pct <= 3.0 in
-  let stage_names =
-    [ "decode"; "execute"; "wal"; "replicate"; "respond" ]
-  in
-  let stage_hist name =
-    let metric =
-      if name = "total" then "server_request_latency_seconds"
-      else Printf.sprintf "server_stage_%s_seconds" name
-    in
-    Tel.Metrics.find_histogram snap metric
-  in
-  Printf.printf "%-10s %8s %12s %12s %12s\n" "stage" "count" "p50" "p95" "p99";
-  let row name =
-    match stage_hist name with
-    | None -> (name, J.Null)
-    | Some h ->
-      let q p = Tel.Histogram.quantile h p in
-      let show = function
-        | Some v -> Printf.sprintf "<=%.1f us" (v *. 1e6)
-        | None -> "n/a"
-      in
-      Printf.printf "%-10s %8d %12s %12s %12s\n" name h.Tel.Histogram.count
-        (show (q 0.5)) (show (q 0.95)) (show (q 0.99));
-      let num = function Some v -> J.Float v | None -> J.Null in
-      ( name,
+      ( "params",
         J.Obj
           [
-            ("count", J.Int h.Tel.Histogram.count);
-            ("p50_s", num (q 0.5));
-            ("p95_s", num (q 0.95));
-            ("p99_s", num (q 0.99));
-          ] )
-  in
-  let stages = List.map row (stage_names @ [ "total" ]) in
-  Printf.printf
-    "\ntraced  : %d requests in %.3f s  %8.0f requests/s\n" requests dt_on
-    (float_of_int requests /. dt_on);
-  Printf.printf
-    "untraced: %d requests in %.3f s  %8.0f requests/s  (tracing overhead: \
-     %.1f%%, best of %d)\n\n"
-    requests dt_off
-    (float_of_int requests /. dt_off)
-    overhead_pct repeats;
-  ( "stage_latency",
-    J.Obj
-      [
-        ("requests", J.Int requests);
-        ("stages", J.Obj stages);
-        ("traced_s", J.Float dt_on);
-        ("untraced_s", J.Float dt_off);
-        ("overhead_pct", J.Float overhead_pct);
-        ("overhead_ok", J.Bool overhead_ok);
-      ] )
+            ("big_n", J.Int (n * r));
+            ("n", J.Int n);
+            ("r", J.Int r);
+            ("k", J.Int k);
+            ("m", J.Int m);
+            ("steps", J.Int steps);
+            ("connect_ops", J.Int connects);
+            ("total_ops", J.Int (Array.length ops));
+          ] );
+      ( "impls",
+        J.List
+          [
+            J.Obj
+              [
+                ("impl", J.String "packed");
+                ("elapsed_s", J.Float dt);
+                ("accepted", J.Int accepted);
+                ("connects_per_s", J.Float cps);
+              ];
+          ] );
+      ("routes_identical", J.Bool identical);
+      ( "rearrangement",
+        J.List
+          (List.map
+             (fun (n, k, m, sname, mean_us, admitted, moves) ->
+               J.Obj
+                 [
+                   ("n", J.Int n);
+                   ("k", J.Int k);
+                   ("m", J.Int m);
+                   ("strategy", J.String sname);
+                   ("mean_us", J.Float mean_us);
+                   ("admitted", J.Bool admitted);
+                   ("moves", J.Int moves);
+                 ])
+             rows) );
+    ] )
 
 (* ----------------------------------------------------------------- *)
 (* bechamel micro-benchmarks                                          *)
@@ -1562,135 +1029,6 @@ let validate_results path =
       require "routing_throughput.rearrangement" (J.member "rearrangement" rt)
     in
     let* _ = require "rearrangement as a list" (J.to_list rearr) in
-    let* persist = require "persistence" (J.member "persistence" doc) in
-    let* wal = require "persistence.wal" (J.member "wal" persist) in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          Result.bind acc (fun () ->
-              match J.member key wal with
-              | Some j -> number (Printf.sprintf "persistence.wal.%s" key) j
-              | None -> fail "persistence.wal.%s missing" key))
-        (Ok ())
-        [ "records"; "bytes"; "elapsed_s"; "baseline_s"; "overhead_pct" ]
-    in
-    let* snap = require "persistence.snapshot" (J.member "snapshot" persist) in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          Result.bind acc (fun () ->
-              match J.member key snap with
-              | Some j -> number (Printf.sprintf "persistence.snapshot.%s" key) j
-              | None -> fail "persistence.snapshot.%s missing" key))
-        (Ok ())
-        [ "bytes"; "routes"; "write_ms"; "restore_ms" ]
-    in
-    let* recov = require "persistence.recovery" (J.member "recovery" persist) in
-    let* dm =
-      require "persistence.recovery.digest_match" (J.member "digest_match" recov)
-    in
-    let* () =
-      match dm with
-      | J.Bool true -> Ok ()
-      | J.Bool false -> fail "recovery.digest_match is false: recovery diverged"
-      | _ -> fail "recovery.digest_match is not a bool"
-    in
-    let* serving = require "serving" (J.member "serving" doc) in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          Result.bind acc (fun () ->
-              match J.member key serving with
-              | Some j -> number (Printf.sprintf "serving.%s" key) j
-              | None -> fail "serving.%s missing" key))
-        (Ok ())
-        [
-          "requests";
-          "elapsed_s";
-          "requests_per_s";
-          "pipelined_requests_per_s";
-          "pipelined_slowdown";
-          "idle_conns";
-          "inproc_ops_per_s";
-          "slowdown";
-        ]
-    in
-    let* sdm = require "serving.digest_match" (J.member "digest_match" serving) in
-    let* () =
-      match sdm with
-      | J.Bool true -> Ok ()
-      | J.Bool false ->
-        fail "serving.digest_match is false: served state diverged"
-      | _ -> fail "serving.digest_match is not a bool"
-    in
-    let* stages = require "stage_latency" (J.member "stage_latency" doc) in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          Result.bind acc (fun () ->
-              match J.member key stages with
-              | Some j -> number (Printf.sprintf "stage_latency.%s" key) j
-              | None -> fail "stage_latency.%s missing" key))
-        (Ok ())
-        [ "requests"; "traced_s"; "untraced_s"; "overhead_pct" ]
-    in
-    let* ook =
-      require "stage_latency.overhead_ok" (J.member "overhead_ok" stages)
-    in
-    let* () =
-      match ook with
-      | J.Bool _ -> Ok ()
-      | _ -> fail "stage_latency.overhead_ok is not a bool"
-    in
-    let* sobj = require "stage_latency.stages" (J.member "stages" stages) in
-    let* () =
-      List.fold_left
-        (fun acc stage ->
-          Result.bind acc (fun () ->
-              let ctx = Printf.sprintf "stage_latency.stages.%s" stage in
-              let* s = require ctx (J.member stage sobj) in
-              let* count = require (ctx ^ ".count") (J.member "count" s) in
-              let* () =
-                match J.to_int count with
-                | Some _ -> Ok ()
-                | None -> fail "%s.count is not an int" ctx
-              in
-              List.fold_left
-                (fun acc key ->
-                  Result.bind acc (fun () ->
-                      match J.member key s with
-                      | Some J.Null -> Ok ()  (* empty histogram *)
-                      | Some j -> number (Printf.sprintf "%s.%s" ctx key) j
-                      | None -> fail "%s.%s missing" ctx key))
-                (Ok ())
-                [ "p50_s"; "p95_s"; "p99_s" ]))
-        (Ok ())
-        [ "decode"; "execute"; "wal"; "replicate"; "respond"; "total" ]
-    in
-    let* repl = require "replication" (J.member "replication" doc) in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          Result.bind acc (fun () ->
-              match J.member key repl with
-              | Some j -> number (Printf.sprintf "replication.%s" key) j
-              | None -> fail "replication.%s missing" key))
-        (Ok ())
-        [
-          "requests"; "standalone_requests_per_s"; "replicated_requests_per_s";
-          "overhead_pct"; "follower_lag_ops"; "catchup_s";
-        ]
-    in
-    let* rdm =
-      require "replication.digest_match" (J.member "digest_match" repl)
-    in
-    let* () =
-      match rdm with
-      | J.Bool true -> Ok ()
-      | J.Bool false ->
-        fail "replication.digest_match is false: the follower diverged"
-      | _ -> fail "replication.digest_match is not a bool"
-    in
     let* mesh = require "mesh_blocking" (J.member "mesh_blocking" doc) in
     let* () =
       List.fold_left
@@ -1862,30 +1200,22 @@ let full () =
   frontier ();
   exact_frontier ();
   blocking_vs_load ();
-  let rt, (topo, ops, dt_replay) = routing_throughput ~quick:false () in
-  let persist = persistence_bench ~topo ~ops ~dt_baseline:dt_replay in
-  let serving = serving_bench ~topo ~ops ~dt_baseline:dt_replay in
-  let stages = stage_latency_bench ~topo ~ops in
-  let repl = replication_bench ~topo ~ops in
+  let rt = routing_throughput ~quick:false () in
   let micro = micro_benchmarks ~quick:false () in
   let meshb = mesh_blocking_bench ~quick:false () in
   let cmp = strategy_compare_bench ~quick:false () in
-  write_results [ micro; rt; persist; serving; stages; repl; meshb; cmp ];
+  write_results [ micro; rt; meshb; cmp ];
   print_endline "All reproduction sections completed."
 
 (* --quick runs just the machine-readable sections at reduced sizes —
    the CI profile: fast enough for every push, still ends with a
    BENCH_results.json that --validate can gate on. *)
 let quick () =
-  let rt, (topo, ops, dt_replay) = routing_throughput ~quick:true () in
-  let persist = persistence_bench ~topo ~ops ~dt_baseline:dt_replay in
-  let serving = serving_bench ~topo ~ops ~dt_baseline:dt_replay in
-  let stages = stage_latency_bench ~topo ~ops in
-  let repl = replication_bench ~topo ~ops in
+  let rt = routing_throughput ~quick:true () in
   let micro = micro_benchmarks ~quick:true () in
   let meshb = mesh_blocking_bench ~quick:true () in
   let cmp = strategy_compare_bench ~quick:true () in
-  write_results [ micro; rt; persist; serving; stages; repl; meshb; cmp ];
+  write_results [ micro; rt; meshb; cmp ];
   print_endline "Quick bench profile completed."
 
 let () =

@@ -26,7 +26,7 @@ let get_string r =
   r.Wire.pos <- r.Wire.pos + len;
   s
 
-(* ----- multistage state codec (moved verbatim from Store) -------------- *)
+(* ----- multistage state codec ----------------------------------------- *)
 
 let construction_tag = function
   | Network.Msw_dominant -> 0
@@ -357,30 +357,6 @@ let restore ?telemetry s =
 
 let digest t = Crc32.string (encode_state t)
 
-(* ----- replay ---------------------------------------------------------- *)
-
-let mesh_disconnect_to_string = function
-  | Mesh.Unknown_route id -> Printf.sprintf "unknown route %d" id
-  | Mesh.Already_released id -> Printf.sprintf "route %d already released" id
-
-let apply t op =
-  match t with
-  | Net net -> (
-    match Op.apply net op with Ok _ -> Ok () | Error _ as e -> e)
-  | Mesh net -> (
-    match (op : Op.t) with
-    | Op.Connect c | Op.Repair { connection = c; _ } -> (
-      (* like Op.apply: a refused admission replays as a no-op *)
-      match Mesh.connect net c with Ok _ | Error _ -> Ok ())
-    | Op.Disconnect id -> (
-      match Mesh.disconnect net id with
-      | Ok _ -> Ok ()
-      | Error e -> Error (mesh_disconnect_to_string e))
-    | Op.Inject_fault _ | Op.Clear_fault _ ->
-      (* never WAL-committed for a mesh: the server answers them with
-         Server_error, which committed_op excludes *)
-      Error "mesh backend does not support fault ops")
-
 (* ----- mesh-to-wire adapters ------------------------------------------- *)
 
 let net_route_of_mesh (r : Mesh.route) : Network.route =
@@ -408,3 +384,72 @@ let net_disconnect_error_of_mesh :
     Mesh.disconnect_error -> Network.disconnect_error = function
   | Mesh.Unknown_route id -> Network.Unknown_route id
   | Mesh.Already_released id -> Network.Already_released id
+
+(* ----- op semantics --------------------------------------------------- *)
+
+type outcome =
+  | Admitted of { route : Network.route; moved : int }
+  | Refused of Network.error
+  | Released of Network.route
+  | Release_failed of Network.disconnect_error
+  | Fault_applied of { torn_down : int }
+  | Fault_cleared
+  | Rejected of string
+
+let execute_net net = function
+  | Op.Connect c -> (
+    match Network.connect net c with
+    | Ok route -> Admitted { route; moved = 0 }
+    | Error e -> Refused e)
+  | Op.Disconnect id -> (
+    match Network.disconnect net id with
+    | Ok route -> Released route
+    | Error e -> Release_failed e)
+  | Op.Inject_fault f -> (
+    match Network.inject_fault net f with
+    | victims -> Fault_applied { torn_down = List.length victims }
+    | exception Invalid_argument e -> Rejected e)
+  | Op.Clear_fault f -> (
+    match Network.clear_fault net f with
+    | () -> Fault_cleared
+    | exception Invalid_argument e -> Rejected e)
+  | Op.Repair { connection; rehomed = _ } -> (
+    match Network.connect_rearrangeable net connection with
+    | Ok (route, moved) -> Admitted { route; moved }
+    | Error e -> Refused e)
+
+let execute_mesh net = function
+  (* no rearrangement pass on a mesh: a repair is a fresh admit *)
+  | Op.Connect c | Op.Repair { connection = c; rehomed = _ } -> (
+    match Mesh.connect net c with
+    | Ok route -> Admitted { route = net_route_of_mesh route; moved = 0 }
+    | Error e -> Refused (net_error_of_mesh e))
+  | Op.Disconnect id -> (
+    match Mesh.disconnect net id with
+    | Ok route -> Released (net_route_of_mesh route)
+    | Error e -> Release_failed (net_disconnect_error_of_mesh e))
+  | Op.Inject_fault _ | Op.Clear_fault _ ->
+    Rejected "mesh backend does not support fault ops"
+
+let execute t op =
+  match t with Net net -> execute_net net op | Mesh net -> execute_mesh net op
+
+(* The one predicate both directions share: an outcome that replay
+   would reject.  A refused connect or repair is not a failure — the
+   WAL records refused admissions too. *)
+let failure = function
+  | Release_failed e -> Some (Network.Error.disconnect_to_string e)
+  | Rejected e -> Some e
+  | Admitted _ | Refused _ | Released _ | Fault_applied _ | Fault_cleared ->
+    None
+
+let apply t op =
+  match failure (execute t op) with None -> Ok () | Some e -> Error e
+
+let committed op outcome =
+  match (failure outcome, op) with
+  | Some _, _ -> None
+  | None, Op.Repair { connection; _ } ->
+    let rehomed = match outcome with Admitted _ -> true | _ -> false in
+    Some (Op.Repair { connection; rehomed })
+  | None, op -> Some op

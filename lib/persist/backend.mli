@@ -8,9 +8,11 @@
     pre-mesh snapshot and WAL on disk decodes exactly as before and a
     mesh snapshot can never be misread as a fabric.
 
-    The multistage state codec lives here (moved from {!Store}, which
-    re-exports it) so the dispatching functions sit below {!Store} in
-    the module order and recovery can restore either kind. *)
+    Each engine's op semantics are written once, in {!execute}: replay
+    ({!apply}), serving ({!Resp.execute_backend}) and the server's
+    commit rule ({!committed}) all derive from its {!outcome}, so "the
+    server commits an op iff replaying it succeeds" holds by
+    construction. *)
 
 module Network = Wdm_multistage.Network
 module Mesh = Wdm_mesh.Mesh_network
@@ -20,12 +22,14 @@ type t = Net of Network.t | Mesh of Mesh.t
 val kind : t -> string
 (** ["multistage"] or ["mesh"], for logs and /readyz. *)
 
-(** {1 Multistage state codec} *)
+(** {1 Route codec} *)
 
-val encode_net_state : Network.snapshot -> string
-val decode_net_state : string -> (Network.snapshot, string) result
 val encode_route : Buffer.t -> Network.route -> unit
 val decode_route : Wire.reader -> Network.route
+(** The allocated-route sub-codec of the multistage state format, also
+    used by {!Resp} for wire responses, so a route serializes
+    identically in a snapshot file and on a control-plane socket.
+    [decode_route] @raise Wire.Decode_error on malformed input. *)
 
 (** {1 Mesh state codec} *)
 
@@ -51,12 +55,44 @@ val restore :
     before anything is allocated — far above every shape this project
     builds. *)
 
+(** {1 Op semantics} *)
+
+type outcome =
+  | Admitted of { route : Network.route; moved : int }
+      (** a connect-like op was admitted; [moved] connections were
+          rerouted to make room (always [0] for [Connect] and on a
+          mesh) *)
+  | Refused of Network.error  (** a connect-like op was refused *)
+  | Released of Network.route  (** a disconnect succeeded *)
+  | Release_failed of Network.disconnect_error
+  | Fault_applied of { torn_down : int }
+      (** an [Inject_fault] took effect, losing [torn_down] live routes *)
+  | Fault_cleared  (** a [Clear_fault] took effect *)
+  | Rejected of string
+      (** the op could not be executed at all: an out-of-range fault on
+          a fabric, or any fault op on a mesh, which has no switch
+          fabric to fault *)
+(** What one op did — the admission arms of {!Resp.t}, one to one.
+    Mesh results are mapped onto the multistage vocabulary (see the
+    adapters below). *)
+
+val execute : t -> Op.t -> outcome
+(** Executes one op.  On a fabric, [Connect] and [Repair] go through
+    {!Network.connect} / {!Network.connect_rearrangeable}; on a mesh
+    both are a plain connect.  Never raises on a bad op: fault
+    validation errors come back as [Rejected]. *)
+
 val apply : t -> Op.t -> (unit, string) result
-(** Replay one op with {!Op.apply} semantics: refusals of [Connect] /
-    [Repair] are [Ok] (the WAL records refused admissions too), a
-    failed [Disconnect] or fault op is [Error].  Mesh backends refuse
-    fault ops as [Error] — they cannot appear in a mesh WAL because
-    the service layer never commits their [Server_error] responses. *)
+(** Replay: {!execute}, then [Error] exactly when the outcome is
+    [Release_failed] or [Rejected].  Refusals of [Connect] / [Repair]
+    are [Ok] — the WAL records refused admissions too. *)
+
+val committed : Op.t -> outcome -> Op.t option
+(** The record the WAL and the replication stream carry for an op that
+    executed with [outcome]: [None] exactly when {!apply} would fail
+    on it (one such request would otherwise poison the WAL), and a
+    [Repair] rewritten to carry the outcome it actually had
+    ([rehomed] iff admitted). *)
 
 val digest : t -> int
 (** CRC32 of {!encode_state} — the recovery-check fingerprint. *)

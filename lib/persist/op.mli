@@ -10,8 +10,8 @@
     Replay correctness rests on the network's determinism contract
     (DESIGN.md §6): connects are recorded as *requests*, not results —
     re-executing the same request sequence against the same starting
-    state reallocates byte-identical routes and ids, which {!apply}
-    relies on and {!route_checksum} verifies. *)
+    state reallocates byte-identical routes and ids, which replay
+    ({!Backend.apply}) relies on and {!route_checksum} verifies. *)
 
 open Wdm_core
 module Network = Wdm_multistage.Network
@@ -48,7 +48,7 @@ val decode_fault : Wire.reader -> Wdm_faults.Fault.t
 val encode_endpoint : Buffer.t -> Wdm_core.Endpoint.t -> unit
 val decode_endpoint : Wire.reader -> Wdm_core.Endpoint.t
 (** The endpoint, connection and fault sub-codecs, shared with the
-    snapshot format ({!Store}) and the control-plane responses
+    snapshot format ({!Backend}) and the control-plane responses
     ({!Resp}) so a value serializes identically everywhere. *)
 
 val decode : Wire.reader -> t
@@ -59,15 +59,7 @@ val decode : Wire.reader -> t
 val decode_string : string -> (t, string) result
 (** Decodes a whole payload; trailing bytes are an error. *)
 
-(** {1 Replay} *)
-
-val apply : Network.t -> t -> (Network.route option, string) result
-(** Applies one op with the semantics the recorders use: [Connect] via
-    [Network.connect] ([Ok None] when refused — a refusal is a valid
-    recorded outcome), [Repair] via [Network.connect_rearrangeable],
-    [Disconnect] of an unknown id is an [Error] (the trace is
-    inconsistent with the state).  Returns the route a connect-like op
-    admitted, for checksumming. *)
+(** {1 Route checksum} *)
 
 val route_checksum : int -> Network.route -> int
 (** Folds one admitted route into a running hop checksum (the bench

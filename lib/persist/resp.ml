@@ -1,6 +1,5 @@
 open Wdm_core
 module Network = Wdm_multistage.Network
-module Fault = Wdm_faults.Fault
 
 (* ----- requests -------------------------------------------------------- *)
 
@@ -182,13 +181,13 @@ let rec encode b = function
   | Admitted { route; moved } ->
     Wire.put_u8 b 1;
     Wire.put_u32 b moved;
-    Store.encode_route b route
+    Backend.encode_route b route
   | Refused e ->
     Wire.put_u8 b 2;
     put_error b e
   | Released route ->
     Wire.put_u8 b 3;
-    Store.encode_route b route
+    Backend.encode_route b route
   | Release_failed e ->
     Wire.put_u8 b 4;
     (match e with
@@ -230,10 +229,10 @@ let rec decode_at ~depth r =
   match Wire.get_u8 r with
   | 1 ->
     let moved = Wire.get_u32 r in
-    let route = Store.decode_route r in
+    let route = Backend.decode_route r in
     Admitted { route; moved }
   | 2 -> Refused (get_error r)
-  | 3 -> Released (Store.decode_route r)
+  | 3 -> Released (Backend.decode_route r)
   | 4 -> (
     match Wire.get_u8 r with
     | 0 -> Release_failed (Network.Unknown_route (Wire.get_int r))
@@ -306,24 +305,14 @@ let rec pp ppf = function
 
 (* ----- execution ------------------------------------------------------- *)
 
-let execute_mesh net = function
-  | Op.Connect c -> (
-    match Backend.Mesh.connect net c with
-    | Ok route -> Admitted { route = Backend.net_route_of_mesh route; moved = 0 }
-    | Error e -> Refused (Backend.net_error_of_mesh e))
-  | Op.Disconnect id -> (
-    match Backend.Mesh.disconnect net id with
-    | Ok route -> Released (Backend.net_route_of_mesh route)
-    | Error e -> Release_failed (Backend.net_disconnect_error_of_mesh e))
-  | Op.Inject_fault _ | Op.Clear_fault _ ->
-    (* answered but never WAL-committed: committed_op drops
-       Server_error responses, so a mesh WAL stays replayable *)
-    Server_error "mesh backend does not support fault ops"
-  | Op.Repair { connection; rehomed = _ } -> (
-    (* no rearrangement pass on a mesh: a repair is a fresh admit *)
-    match Backend.Mesh.connect net connection with
-    | Ok route -> Admitted { route = Backend.net_route_of_mesh route; moved = 0 }
-    | Error e -> Refused (Backend.net_error_of_mesh e))
+let of_outcome : Backend.outcome -> t = function
+  | Backend.Admitted { route; moved } -> Admitted { route; moved }
+  | Backend.Refused e -> Refused e
+  | Backend.Released route -> Released route
+  | Backend.Release_failed e -> Release_failed e
+  | Backend.Fault_applied { torn_down } -> Fault_applied { torn_down }
+  | Backend.Fault_cleared -> Fault_cleared
+  | Backend.Rejected e -> Server_error e
 
 let rec execute_backend ?(stats = fun () -> "{}") backend = function
   | Batch reqs -> Batch_reply (List.map (execute_backend ~stats backend) reqs)
@@ -332,30 +321,4 @@ let rec execute_backend ?(stats = fun () -> "{}") backend = function
   (* Promotion is a server-role concern; a bare network has no role to
      change, and the server intercepts the request before execute. *)
   | Promote -> Server_error "promotion is handled by the server"
-  | Admit op -> (
-    match backend with
-    | Backend.Mesh net -> execute_mesh net op
-    | Backend.Net net -> execute_net net op)
-
-and execute_net net op =
-  (match op with
-    | Op.Connect c -> (
-      match Network.connect net c with
-      | Ok route -> Admitted { route; moved = 0 }
-      | Error e -> Refused e)
-    | Op.Disconnect id -> (
-      match Network.disconnect net id with
-      | Ok route -> Released route
-      | Error e -> Release_failed e)
-    | Op.Inject_fault f -> (
-      match Network.inject_fault net f with
-      | victims -> Fault_applied { torn_down = List.length victims }
-      | exception Invalid_argument e -> Server_error e)
-    | Op.Clear_fault f -> (
-      match Network.clear_fault net f with
-      | () -> Fault_cleared
-      | exception Invalid_argument e -> Server_error e)
-    | Op.Repair { connection; rehomed = _ } -> (
-      match Network.connect_rearrangeable net connection with
-      | Ok (route, moved) -> Admitted { route; moved }
-      | Error e -> Refused e))
+  | Admit op -> of_outcome (Backend.execute backend op)

@@ -3,7 +3,7 @@
     The server speaks the persistence layer's language: a request is
     one CRC32-framed {!Op} payload (plus two read-only control
     requests in a reserved tag range), a response is one framed value
-    of {!t}.  Reusing the {!Op} and {!Store} sub-codecs means a bench
+    of {!t}.  Reusing the {!Op} and {!Backend} sub-codecs means a bench
     trace, a WAL record and a network request are interchangeable
     byte strings — anything that can replay a WAL can drive a server,
     and vice versa.
@@ -20,7 +20,7 @@ type request =
       (** a state-changing op, encoded exactly as in the WAL
           (tags 1-5) *)
   | Get_digest
-      (** whole-state fingerprint ({!Store.digest}) of the live
+      (** whole-state fingerprint ({!Backend.digest}) of the live
           network — tag [0xF1] *)
   | Get_stats
       (** server-side telemetry snapshot as JSON — tag [0xF2] *)
@@ -88,31 +88,27 @@ val decode_string : string -> (t, string) result
 
 (** {1 Execution} *)
 
+val of_outcome : Backend.outcome -> t
+(** One to one: [Rejected] answers [Server_error], every other arm its
+    namesake. *)
+
 val execute_backend :
   ?stats:(unit -> string) -> Backend.t -> request -> t
-(** The one place request semantics live, shared by the server's
-    admission loop and the loopback equivalence tests.
+(** The request semantics the loopback equivalence tests share with
+    the server.  [Admit op] answers {!of_outcome} of
+    {!Backend.execute}: on either engine [Connect] and [Repair] answer
+    [Admitted]/[Refused], [Disconnect] [Released]/[Release_failed], and
+    fault ops [Fault_applied]/[Fault_cleared] — or [Server_error] for an
+    out-of-range fault, and for every fault op on a mesh.  A bad
+    request must not take the server down, and the server never
+    commits a [Server_error] or [Release_failed] answer
+    ({!Backend.committed}), so neither can reach a WAL.
 
-    On a multistage backend, [Connect] and [Repair] map to
-    {!Network.connect} / {!Network.connect_rearrangeable} and answer
-    [Admitted]/[Refused]; [Disconnect] answers
-    [Released]/[Release_failed]; fault ops answer
-    [Fault_applied]/[Fault_cleared], with [Invalid_argument] from fault
-    validation caught and answered as [Server_error] — a bad request
-    must not take the server down.
-
-    A mesh backend answers [Connect] / [Repair] / [Disconnect] through
-    the mesh engine with results mapped onto the multistage route
-    vocabulary ({!Backend.net_route_of_mesh}); fault ops answer
-    [Server_error] — a mesh has no switch fabric to fault — and the
-    server never commits [Server_error] responses, so they cannot reach
-    a WAL.
-
-    On either, [Get_digest] answers with {!Backend.digest} and
-    [Get_stats] with [stats ()] (default: ["{}"] — the server passes its
-    metrics renderer).  [Promote] answers [Server_error]: promotion
-    changes a server's role, not network state, so the server
-    intercepts it before this function ever sees it.  [Batch] maps
-    [execute_backend] over its requests and answers [Batch_reply] — the
-    server instead unrolls batches itself so each sub-op hits the WAL
-    and replication stream individually. *)
+    [Get_digest] answers with {!Backend.digest} and [Get_stats] with
+    [stats ()] (default: ["{}"] — the server passes its metrics
+    renderer).  [Promote] answers [Server_error]: promotion changes a
+    server's role, not network state, so the server intercepts it
+    before this function ever sees it.  [Batch] maps [execute_backend]
+    over its requests and answers [Batch_reply] — the server instead
+    unrolls batches itself so each sub-op hits the WAL and replication
+    stream individually. *)

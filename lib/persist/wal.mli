@@ -2,7 +2,7 @@
 
     A WAL file is the {!Wire} header (kind ['W']) followed by one
     CRC32-framed {!Op} record per operation, appended in execution
-    order.  Recovery ({!Store.recover}) replays the tail past the
+    order.  Recovery ({!Store.recover_backend}) replays the tail past the
     newest snapshot; this module only reads and writes the file.
 
     Durability is the caller's trade to make, so flushing is a
@@ -33,7 +33,7 @@ val open_append :
   string ->
   writer
 (** Reopens an existing WAL for appending (header verified, channel
-    positioned at end-of-file) — what {!Store.resume} uses to continue
+    positioned at end-of-file) — what {!Store.resume_backend} uses to continue
     a recovered session instead of truncating its history.  [records]
     seeds the writer's record count, so {!records} and the
     [Flush_every] cadence continue where the previous session left
@@ -60,12 +60,19 @@ type read_outcome = {
   ops : (int * Op.t) list;  (** (byte offset of the record, op) *)
   tear : int option;
       (** byte offset of an incomplete trailing record, if any *)
+  valid_end : int;
+      (** byte offset just past the last complete record: the tear, or
+          the end of the file *)
 }
 
-val read : string -> (read_outcome, string) result
+type read_error = { offset : int; reason : string }
+(** Why the file is unusable, and the byte offset of the damage ([0]
+    for an unreadable file or a bad header). *)
+
+val read : string -> (read_outcome, read_error) result
 (** Reads a whole WAL.  A torn trailing record is reported, not an
-    error; a bad header, an implausible length or a CRC mismatch on a
-    complete record is an [Error] naming the byte offset. *)
+    error; a bad header, an implausible length, a CRC mismatch or an
+    undecodable op in a complete record is an [Error]. *)
 
 val truncate_at : string -> int -> unit
 (** Cuts the file at a tear offset so a recovered process can append.

@@ -1,4 +1,3 @@
-module Network = Wdm_multistage.Network
 module P = Wdm_persist
 module Tel = Wdm_telemetry
 
@@ -776,35 +775,6 @@ let record_span t i sr =
     | None -> ())
   | _ -> ()
 
-(* The op this request committed, if any — what the WAL records and
-   the replication stream carries.  Ops that failed to execute are
-   excluded: [Store.recover] treats a failing [Op.apply] as
-   corruption, and replaying a refused Disconnect or an out-of-range
-   fault fails again — one such client request would poison the WAL
-   permanently.  (Refused Connect and Repair are still committed;
-   replay tolerates those.)  A [Repair] record carries the outcome
-   this server actually produced, keeping divergence detection
-   honest. *)
-let committed_op req resp =
-  match (req : P.Resp.request) with
-  | P.Resp.Get_digest | P.Resp.Get_stats | P.Resp.Promote -> None
-  (* batches are unrolled sub-op by sub-op before commit; a whole
-     batch never reaches the WAL as one record *)
-  | P.Resp.Batch _ -> None
-  | P.Resp.Admit op -> (
-    match (resp : P.Resp.t) with
-    | P.Resp.Release_failed _ | P.Resp.Server_error _ -> None
-    | P.Resp.Admitted _ -> (
-      match op with
-      | P.Op.Repair { connection; _ } ->
-        Some (P.Op.Repair { connection; rehomed = true })
-      | _ -> Some op)
-    | _ -> (
-      match op with
-      | P.Op.Repair { connection; _ } ->
-        Some (P.Op.Repair { connection; rehomed = false })
-      | _ -> Some op))
-
 (* Promotion: cut the replication link, take a fresh epoch, start
    leading.  The store and network continue as they are — the newest
    boundary-consistent state this follower reached is exactly what it
@@ -824,31 +794,31 @@ let do_promote t =
     Ok t.rep_seq
   end
 
-let execute_request t req =
-  match (req : P.Resp.request) with
-  | P.Resp.Promote -> (
-    match do_promote t with
-    | Ok seq -> P.Resp.Promoted { seq }
-    | Error e -> P.Resp.Server_error e)
-  | P.Resp.Admit _ when t.role = Follower ->
-    P.Resp.Not_leader { leader = leader_string t }
-  | _ -> P.Resp.execute_backend ~stats:(stats_renderer t) t.backend req
-
 let request_weight (req : P.Resp.request) =
   match req with P.Resp.Batch subs -> List.length subs | _ -> 1
 
 (* Execute, then commit — WAL append, replication fan-out — sub-op by
    sub-op, so the WAL and the stream see exactly the records a
-   sequential client would have produced.  [commit] performs the two
-   commit steps, so the traced path can time them. *)
+   sequential client would have produced.  A leader commits what
+   [Backend.committed] keeps: every op whose replay succeeds, and
+   nothing else — replaying a refused Disconnect or an out-of-range
+   fault fails again, so one such request would poison the WAL
+   permanently.  [commit] performs the two commit steps, so the traced
+   path can time them. *)
 let execute_all t req ~commit =
   let run sub =
-    let r = execute_request t sub in
-    (if t.role = Leader then
-       match committed_op sub r with
-       | None -> ()
-       | Some op -> commit op);
-    r
+    match (sub : P.Resp.request) with
+    | P.Resp.Promote -> (
+      match do_promote t with
+      | Ok seq -> P.Resp.Promoted { seq }
+      | Error e -> P.Resp.Server_error e)
+    | P.Resp.Admit _ when t.role = Follower ->
+      P.Resp.Not_leader { leader = leader_string t }
+    | P.Resp.Admit op ->
+      let outcome = P.Backend.execute t.backend op in
+      Option.iter commit (P.Backend.committed op outcome);
+      P.Resp.of_outcome outcome
+    | _ -> P.Resp.execute_backend ~stats:(stats_renderer t) t.backend sub
   in
   match (req : P.Resp.request) with
   | P.Resp.Batch subs -> P.Resp.Batch_reply (List.map run subs)
@@ -1315,20 +1285,19 @@ let bind_listen addr =
 let start_backend ?telemetry ?store ?(digest_every = 64) ?(resume_window = 1024)
     ?(outbox_capacity = 1024) ?follower ?http ?(ready_lag = 64) ?slow_ms
     ?slow_log ?(span_buffer = 1024) ?max_conns ?conn_sndbuf ~backend addr =
+  let invalid why = invalid_arg ("Server.start_backend: " ^ why) in
   (match max_conns with
-  | Some m when m < 1 -> invalid_arg "Server.start: max_conns must be >= 1"
+  | Some m when m < 1 -> invalid "max_conns must be >= 1"
   | _ -> ());
-  if digest_every < 1 then invalid_arg "Server.start: digest_every must be >= 1";
-  if resume_window < 1 then
-    invalid_arg "Server.start: resume_window must be >= 1";
-  if outbox_capacity < 1 then
-    invalid_arg "Server.start: outbox_capacity must be >= 1";
+  if digest_every < 1 then invalid "digest_every must be >= 1";
+  if resume_window < 1 then invalid "resume_window must be >= 1";
+  if outbox_capacity < 1 then invalid "outbox_capacity must be >= 1";
   if follower <> None && store <> None then
-    invalid_arg "Server.start: a follower manages its own store";
-  if ready_lag < 0 then invalid_arg "Server.start: ready_lag must be >= 0";
-  if span_buffer < 1 then invalid_arg "Server.start: span_buffer must be >= 1";
+    invalid "a follower manages its own store";
+  if ready_lag < 0 then invalid "ready_lag must be >= 0";
+  if span_buffer < 1 then invalid "span_buffer must be >= 1";
   (match slow_ms with
-  | Some ms when ms < 0. -> invalid_arg "Server.start: slow_ms must be >= 0"
+  | Some ms when ms < 0. -> invalid "slow_ms must be >= 0"
   | _ -> ());
   (* a peer that vanishes mid-response must surface as EPIPE on the
      write, not as a process-killing signal *)
@@ -1431,13 +1400,6 @@ let start_backend ?telemetry ?store ?(digest_every = 64) ?(resume_window = 1024)
   in
   t.loop_thread <- Some (Thread.create loop_run t);
   t
-
-let start ?telemetry ?store ?digest_every ?resume_window ?outbox_capacity
-    ?follower ?http ?ready_lag ?slow_ms ?slow_log ?span_buffer ?max_conns
-    ?conn_sndbuf ~net addr =
-  start_backend ?telemetry ?store ?digest_every ?resume_window
-    ?outbox_capacity ?follower ?http ?ready_lag ?slow_ms ?slow_log
-    ?span_buffer ?max_conns ?conn_sndbuf ~backend:(P.Backend.Net net) addr
 
 let address t = t.bound
 let http_address t = t.http_bound

@@ -1,6 +1,6 @@
-(** The control-plane service: a live {!Wdm_multistage.Network}
-    behind a TCP or Unix-domain socket, optionally replicated to
-    follower nodes.
+(** The control-plane service: a live {!Wdm_persist.Backend} — the
+    multistage fabric or a mesh network — behind a TCP or Unix-domain
+    socket, optionally replicated to follower nodes.
 
     Concurrency model — one event loop, run to completion (DESIGN.md
     §12): a single loop thread owns every socket, the network, the WAL
@@ -29,8 +29,8 @@
     session crash-recovers exactly like a recorded in-process run.
     Requests that failed to execute at all — a disconnect of an unknown
     or already-released route, a fault op with out-of-range indices —
-    are answered but never logged: replaying them would fail and read
-    as WAL corruption on recovery.
+    are answered but never logged ({!Wdm_persist.Backend.committed}):
+    replaying them would fail and read as WAL corruption on recovery.
 
     {b Replication} (DESIGN.md §10): a peer greeting with the ['F']
     hello subscribes to the committed-op stream.  The leader answers
@@ -81,8 +81,6 @@
     or stderr) carrying the span id and the per-stage breakdown of
     every request at or over the threshold. *)
 
-module Network = Wdm_multistage.Network
-
 type address =
   | Tcp of string * int  (** host, port; port [0] binds an ephemeral *)
   | Unix_socket of string  (** path; unlinked stale socket on bind *)
@@ -102,7 +100,7 @@ type follower_config = {
 
 type t
 
-val start :
+val start_backend :
   ?telemetry:Wdm_telemetry.Sink.t ->
   ?store:Wdm_persist.Store.t ->
   ?digest_every:int ->
@@ -116,10 +114,12 @@ val start :
   ?span_buffer:int ->
   ?max_conns:int ->
   ?conn_sndbuf:int ->
-  net:Network.t ->
+  backend:Wdm_persist.Backend.t ->
   address ->
   t
-(** {!start_backend} specialized to the multistage fabric.
+(** Serves [backend] — a multistage fabric or a mesh, which speaks the
+    same wire protocol (mesh results are mapped onto the multistage
+    route vocabulary; fault ops are refused with [Server_error]).
 
     Binds, listens and spawns the event-loop thread — the only thread
     the server runs; with [follower] the loop also dials the leader.
@@ -149,27 +149,6 @@ val start :
     [follower] are given.
     @raise Unix.Unix_error when an address cannot be bound. *)
 
-val start_backend :
-  ?telemetry:Wdm_telemetry.Sink.t ->
-  ?store:Wdm_persist.Store.t ->
-  ?digest_every:int ->
-  ?resume_window:int ->
-  ?outbox_capacity:int ->
-  ?follower:follower_config ->
-  ?http:address ->
-  ?ready_lag:int ->
-  ?slow_ms:float ->
-  ?slow_log:string ->
-  ?span_buffer:int ->
-  ?max_conns:int ->
-  ?conn_sndbuf:int ->
-  backend:Wdm_persist.Backend.t ->
-  address ->
-  t
-(** {!start} for either state kind — a mesh backend serves the same
-    wire protocol (mesh results are mapped onto the multistage route
-    vocabulary; fault ops are refused with [Server_error]). *)
-
 val address : t -> address
 (** The actual bound address — with [Tcp (host, 0)] the kernel-chosen
     port is filled in. *)
@@ -192,9 +171,9 @@ val backend : t -> Wdm_persist.Backend.t
     quiescent. *)
 
 val current_store : t -> Wdm_persist.Store.t option
-(** The store currently in use: the one passed to {!start}, or the one
-    a follower created for its [wal].  After {!stop}, checkpoint and
-    close it here. *)
+(** The store currently in use: the one passed to {!start_backend}, or
+    the one a follower created for its [wal].  After {!stop},
+    checkpoint and close it here. *)
 
 val promote : t -> (int, string) result
 (** Make this follower the leader: cut the replication link, adopt a
@@ -222,7 +201,7 @@ val served : t -> int
 
 val ready : t -> bool
 (** What [/readyz] answers.  A leader is ready as soon as it serves
-    (WAL recovery, when any, completed before {!start} returned).  A
+    (WAL recovery, when any, completed before {!start_backend} returned).  A
     follower is ready while its replication link is live, it has
     synced to a leader generation, and its apply lag — the newest seq
     the leader has shown minus {!applied} — is within [ready_lag].

@@ -10,6 +10,7 @@ module Fault = Wdm_faults.Fault
 
 let ep port wl = Endpoint.make ~port ~wl
 let conn src dests = Connection.make_exn ~source:src ~destinations:dests
+let digest net = P.Backend.digest (P.Backend.Net net)
 
 (* --- crc32 --------------------------------------------------------------- *)
 
@@ -273,7 +274,7 @@ let test_snapshot_restore () =
   populate net;
   let restored = Network.restore (Network.snapshot net) in
   Alcotest.(check int)
-    "digest equal" (P.Store.digest net) (P.Store.digest restored);
+    "digest equal" (digest net) (digest restored);
   (* behavioral indistinguishability: the same fresh request must get
      the same answer, route id and hops on both *)
   let probe = conn (ep 3 1) [ ep 6 1 ] in
@@ -304,8 +305,7 @@ let test_reference_tagged_snapshot () =
     (Network.active_routes from0 = Network.active_routes from1);
   let state t = Format.asprintf "%a" Network.pp_state t in
   Alcotest.(check string) "same pp_state" (state from0) (state from1);
-  Alcotest.(check int) "re-encodes as tag 0" (P.Store.digest from0)
-    (P.Store.digest from1)
+  Alcotest.(check int) "re-encodes as tag 0" (digest from0) (digest from1)
 
 (* [state] with the one-byte strategy tag at [off] replaced by the
    string-carrying [tag] spelling out [name]. *)
@@ -403,16 +403,13 @@ let test_restore_rejects_inconsistent () =
 let test_state_codec_roundtrip () =
   let net = make_net () in
   populate net;
-  let snap = Network.snapshot net in
-  let bytes = P.Store.encode_state snap in
-  match P.Store.decode_state bytes with
-  | Error e -> Alcotest.fail e
-  | Ok snap' ->
-    Alcotest.(check string) "re-encodes identically" bytes
-      (P.Store.encode_state snap');
-    Alcotest.(check int) "routes survive"
-      (List.length snap.Network.s_routes)
-      (List.length snap'.Network.s_routes)
+  let bytes = P.Backend.encode_state (P.Backend.Net net) in
+  let net' = restore_ok bytes in
+  Alcotest.(check string) "re-encodes identically" bytes
+    (P.Backend.encode_state (P.Backend.Net net'));
+  Alcotest.(check int) "routes survive"
+    (List.length (Network.active_routes net))
+    (List.length (Network.active_routes net'))
 
 (* A snapshot whose [m] field took a bit flip (offset 4: u32 after [n])
    must come back as [Error] before [Network.restore] allocates: m =
@@ -817,7 +814,7 @@ let test_wal_mutation_fuzz () =
       List.iter
         (fun (label, bytes) ->
           (match P.Wal.read (Filename.concat dir label) with
-          | Ok { tear = None; ops } when ops <> [] -> ()
+          | Ok { tear = None; ops; _ } when ops <> [] -> ()
           | _ -> Alcotest.failf "%s: intact WAL not read back whole" label);
           for _ = 1 to 300 do
             Out_channel.with_open_bin damaged (fun oc ->
@@ -840,9 +837,10 @@ let test_wal_write_read () =
   let end_off = P.Wal.tell w in
   P.Wal.close w;
   (match P.Wal.read path with
-  | Error e -> Alcotest.fail e
-  | Ok { ops; tear } ->
+  | Error e -> Alcotest.fail e.P.Wal.reason
+  | Ok { ops; tear; valid_end } ->
     Alcotest.(check bool) "no tear" true (tear = None);
+    Alcotest.(check int) "valid prefix is the whole file" end_off valid_end;
     Alcotest.(check int) "count" (List.length sample_ops) (List.length ops);
     List.iter2
       (fun expected (_, got) ->
@@ -860,25 +858,25 @@ let test_wal_write_read () =
   let last_start =
     match P.Wal.read path with
     | Ok { ops; _ } -> fst (List.nth ops (List.length ops - 1))
-    | Error e -> Alcotest.fail e
+    | Error e -> Alcotest.fail e.P.Wal.reason
   in
   let oc = open_out_bin path in
   output_string oc (String.sub contents 0 (last_start + 3));
   close_out oc;
   (match P.Wal.read path with
-  | Error e -> Alcotest.fail e
-  | Ok { ops; tear } ->
+  | Error e -> Alcotest.fail e.P.Wal.reason
+  | Ok { ops; tear; valid_end } ->
     Alcotest.(check int) "one fewer op" (List.length sample_ops - 1)
       (List.length ops);
-    Alcotest.(check (option int)) "tear offset" (Some last_start) tear);
+    Alcotest.(check (option int)) "tear offset" (Some last_start) tear;
+    Alcotest.(check int) "valid prefix ends at the tear" last_start valid_end);
   P.Wal.truncate_at path last_start;
   (match P.Wal.read path with
-  | Ok { tear = None; ops } ->
+  | Ok { tear = None; ops; _ } ->
     Alcotest.(check int) "clean after truncate" (List.length sample_ops - 1)
       (List.length ops)
   | Ok _ -> Alcotest.fail "still torn after truncate_at"
-  | Error e -> Alcotest.fail e);
-  ignore end_off;
+  | Error e -> Alcotest.fail e.P.Wal.reason);
   Sys.remove path
 
 let test_wal_detects_corruption () =
@@ -899,15 +897,13 @@ let test_wal_detects_corruption () =
   output_bytes oc flipped;
   close_out oc;
   (match P.Wal.read path with
-  | Error e ->
-    let contains_sub s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
+  | Error { offset; reason } ->
+    (* the damaged record starts at or before the flipped byte *)
     Alcotest.(check bool)
-      (Printf.sprintf "error names an offset: %s" e)
-      true (contains_sub e "at byte")
+      (Printf.sprintf "error names the damaged record: %s at byte %d" reason
+         offset)
+      true
+      (offset >= P.Wire.header_len && offset <= mid)
   | Ok _ -> Alcotest.fail "flipped byte went undetected");
   Sys.remove path
 
@@ -922,34 +918,34 @@ let test_wal_policy_validation () =
 
 let test_store_session_and_recover () =
   let wal = "test_store_session.wal" in
-  let net = make_net () in
-  let store = P.Store.start ~wal net in
+  let net = P.Backend.Net (make_net ()) in
+  let store = P.Store.start_backend ~wal net in
   let log_and_apply op =
     P.Store.log store op;
-    match P.Op.apply net op with
-    | Ok _ -> ()
+    match P.Backend.apply net op with
+    | Ok () -> ()
     | Error e -> Alcotest.fail e
   in
   log_and_apply (P.Op.Connect (conn (ep 1 1) [ ep 1 1; ep 4 1 ]));
   log_and_apply (P.Op.Connect (conn (ep 2 2) [ ep 5 2 ]));
-  P.Store.checkpoint store net;
+  P.Store.checkpoint_backend store net;
   log_and_apply (P.Op.Inject_fault (Fault.Middle 1));
   log_and_apply (P.Op.Connect (conn (ep 5 1) [ ep 8 1 ]));
-  let digest = P.Store.digest net in
+  let digest = P.Backend.digest net in
   P.Store.close store;
-  (match P.Store.recover ~wal () with
+  (match P.Store.recover_backend ~wal () with
   | Error e -> Alcotest.fail (Format.asprintf "%a" P.Store.pp_recovery_error e)
   | Ok r ->
-    Alcotest.(check int) "digest" digest (P.Store.digest r.P.Store.network);
-    Alcotest.(check int) "replayed past checkpoint" 2 r.P.Store.replayed;
-    Alcotest.(check bool) "no tear" true (r.P.Store.tear = None));
+    Alcotest.(check int) "digest" digest (P.Backend.digest r.P.Store.backend);
+    Alcotest.(check int) "replayed past checkpoint" 2 r.P.Store.b_replayed;
+    Alcotest.(check bool) "no tear" true (r.P.Store.b_tear = None));
   (* with every snapshot gone there is nothing to seed recovery from *)
   List.iter
     (fun seq ->
       let p = P.Store.snapshot_path ~wal ~seq in
       if Sys.file_exists p then Sys.remove p)
     [ 0; 1; 2; 3 ];
-  (match P.Store.recover ~wal () with
+  (match P.Store.recover_backend ~wal () with
   | Error (P.Store.No_snapshot _) -> ()
   | Error e ->
     Alcotest.fail (Format.asprintf "wrong error: %a" P.Store.pp_recovery_error e)
@@ -958,28 +954,28 @@ let test_store_session_and_recover () =
 
 let test_store_falls_back_to_older_snapshot () =
   let wal = "test_store_fallback.wal" in
-  let net = make_net () in
-  let store = P.Store.start ~wal net in
+  let net = P.Backend.Net (make_net ()) in
+  let store = P.Store.start_backend ~wal net in
   let log_and_apply op =
     P.Store.log store op;
-    ignore (P.Op.apply net op)
+    ignore (P.Backend.apply net op)
   in
   log_and_apply (P.Op.Connect (conn (ep 1 1) [ ep 4 1 ]));
-  P.Store.checkpoint store net;
+  P.Store.checkpoint_backend store net;
   log_and_apply (P.Op.Connect (conn (ep 2 1) [ ep 5 1 ]));
-  P.Store.checkpoint store net;
-  let digest = P.Store.digest net in
+  P.Store.checkpoint_backend store net;
+  let digest = P.Backend.digest net in
   P.Store.close store;
   (* trash the newest snapshot; seq 1 must still carry recovery *)
   let newest = P.Store.snapshot_path ~wal ~seq:2 in
   let oc = open_out_bin newest in
   output_string oc "not a snapshot at all";
   close_out oc;
-  (match P.Store.recover ~wal () with
+  (match P.Store.recover_backend ~wal () with
   | Error e -> Alcotest.fail (Format.asprintf "%a" P.Store.pp_recovery_error e)
   | Ok r ->
-    Alcotest.(check int) "fell back" 1 r.P.Store.snapshot_seq;
-    Alcotest.(check int) "digest" digest (P.Store.digest r.P.Store.network));
+    Alcotest.(check int) "fell back" 1 r.P.Store.b_snapshot_seq;
+    Alcotest.(check int) "digest" digest (P.Backend.digest r.P.Store.backend));
   Sys.remove wal;
   List.iter
     (fun seq ->

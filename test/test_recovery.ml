@@ -32,6 +32,12 @@ let seed = 1848
 let continuation_ops = 1000
 
 let ep port wl = Endpoint.make ~port ~wl
+let digest net = P.Backend.digest (P.Backend.Net net)
+
+let fabric (r : P.Store.backend_recovery) =
+  match r.P.Store.backend with
+  | P.Backend.Net net -> net
+  | P.Backend.Mesh _ -> Alcotest.fail "recovered a mesh"
 
 type variant = { label : string; k : int; steps : int }
 
@@ -127,12 +133,13 @@ let fault_schedule ~steps =
 
 let record v ~wal =
   let net = make_net v in
-  let store = P.Store.start ~retain:max_int ~wal net in
+  let backend = P.Backend.Net net in
+  let store = P.Store.start_backend ~retain:max_int ~wal backend in
   let fsut = logged_fsut store net in
   let persist =
     {
       Churn.policy = Churn.Every_n_ops 100;
-      checkpoint = (fun ~ops:_ -> P.Store.checkpoint store net);
+      checkpoint = (fun ~ops:_ -> P.Store.checkpoint_backend store backend);
     }
   in
   let topo = Network.topology net in
@@ -145,7 +152,7 @@ let record v ~wal =
       ~schedule:(fault_schedule ~steps:v.steps)
       fsut
   in
-  P.Store.checkpoint store net;
+  P.Store.checkpoint_backend store backend;
   let records = P.Store.wal_records store in
   P.Store.close store;
   (net, records)
@@ -220,9 +227,9 @@ let sweep_of v =
       Alcotest.failf "recorded only %d WAL records, need >= 500" records;
     let ops =
       match P.Wal.read wal with
-      | Ok { ops; tear = None } -> ops
+      | Ok { ops; tear = None; _ } -> ops
       | Ok _ -> Alcotest.fail "freshly recorded WAL reports a tear"
-      | Error e -> Alcotest.fail e
+      | Error e -> Alcotest.fail e.P.Wal.reason
     in
     let contents = read_file wal in
     let boundaries =
@@ -231,15 +238,15 @@ let sweep_of v =
     (* replay the ops against a fresh net, fingerprinting every prefix *)
     let ref_net = make_net v in
     let prefix_digests = Array.make (Array.length boundaries) 0 in
-    prefix_digests.(0) <- P.Store.digest ref_net;
+    prefix_digests.(0) <- digest ref_net;
     List.iteri
       (fun i (_, op) ->
-        (match P.Op.apply ref_net op with
-        | Ok _ -> ()
+        (match P.Backend.apply (P.Backend.Net ref_net) op with
+        | Ok () -> ()
         | Error e -> Alcotest.failf "replay of op %d failed: %s" i e);
-        prefix_digests.(i + 1) <- P.Store.digest ref_net)
+        prefix_digests.(i + 1) <- digest ref_net)
       ops;
-    let final_digest = P.Store.digest live_net in
+    let final_digest = digest live_net in
     if prefix_digests.(Array.length boundaries - 1) <> final_digest then
       Alcotest.fail "full replay does not reproduce the recorded network";
     let s = { wal; contents; boundaries; prefix_digests; final_digest } in
@@ -257,17 +264,17 @@ let test_every_boundary v () =
     (fun i boundary ->
       (* ref_net holds the uninterrupted state after i ops *)
       write_file trunc (String.sub s.contents 0 boundary);
-      (match P.Store.recover ~wal:trunc () with
+      (match P.Store.recover_backend ~wal:trunc () with
       | Error e ->
         Alcotest.failf "recovery at boundary %d (byte %d): %a" i boundary
           P.Store.pp_recovery_error e
       | Ok rec_ ->
-        if P.Store.digest rec_.P.Store.network <> s.prefix_digests.(i) then
+        if digest (fabric rec_) <> s.prefix_digests.(i) then
           Alcotest.failf "digest mismatch at boundary %d (byte %d)" i boundary;
-        if rec_.P.Store.tear <> None then
+        if rec_.P.Store.b_tear <> None then
           Alcotest.failf "clean cut at boundary %d reported a tear" i;
-        Oracle.audit rec_.P.Store.network;
-        let cs_rec, bl_rec = continuation rec_.P.Store.network in
+        Oracle.audit (fabric rec_);
+        let cs_rec, bl_rec = continuation (fabric rec_) in
         let cs_ref, bl_ref = continuation (Network.copy ref_net) in
         if cs_rec <> cs_ref || bl_rec <> bl_ref then
           Alcotest.failf
@@ -279,7 +286,7 @@ let test_every_boundary v () =
         match P.Wire.read_frame s.contents ~pos:boundary with
         | P.Wire.Frame { payload; _ } -> (
           match P.Op.decode_string payload with
-          | Ok op -> ignore (P.Op.apply ref_net op)
+          | Ok op -> ignore (P.Backend.apply (P.Backend.Net ref_net) op)
           | Error e -> Alcotest.fail e)
         | _ -> Alcotest.fail "boundary does not start a frame")
     s.boundaries;
@@ -295,7 +302,7 @@ let test_counters_after_recovery v () =
   write_file trunc s.contents;
   let sink_rec = Tel.Sink.create () in
   let sink_ref = Tel.Sink.create () in
-  (match P.Store.recover ~telemetry:sink_rec ~wal:trunc () with
+  (match P.Store.recover_backend ~telemetry:sink_rec ~wal:trunc () with
   | Error e -> Alcotest.failf "%a" P.Store.pp_recovery_error e
   | Ok rec_ ->
     (* uninterrupted twin: replay all ops on a fresh instrumented net,
@@ -303,9 +310,9 @@ let test_counters_after_recovery v () =
        clone instead — restore gives a clean-slate instrumented net in
        the same state *)
     let ref_net =
-      Network.restore ~telemetry:sink_ref (Network.snapshot rec_.P.Store.network)
+      Network.restore ~telemetry:sink_ref (Network.snapshot (fabric rec_))
     in
-    let cs_rec, bl_rec = continuation rec_.P.Store.network in
+    let cs_rec, bl_rec = continuation (fabric rec_) in
     let cs_ref, bl_ref = continuation ref_net in
     Alcotest.(check int) "checksum" cs_ref cs_rec;
     Alcotest.(check int) "blocked" bl_ref bl_rec;
@@ -350,7 +357,7 @@ let test_byte_flips v () =
       let b = Bytes.of_string s.contents in
       Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x10));
       write_file flip (Bytes.to_string b);
-      match P.Store.recover ~wal:flip () with
+      match P.Store.recover_backend ~wal:flip () with
       | Error (P.Store.Corrupt { offset; _ }) ->
         if offset < P.Wire.header_len || offset > len then
           Alcotest.failf "flip at %d: implausible corruption offset %d" off
@@ -361,7 +368,7 @@ let test_byte_flips v () =
         if off > len / 4 then
           Alcotest.failf "flip at %d: lost all snapshots" off
       | Ok rec_ ->
-        let d = P.Store.digest rec_.P.Store.network in
+        let d = digest (fabric rec_) in
         if not (List.mem d digests) then
           Alcotest.failf
             "flip at %d: recovery silently diverged from every prefix state"
@@ -379,19 +386,19 @@ let test_torn_tail v () =
   let boundary = s.boundaries.(nb / 2) in
   let i = nb / 2 in
   write_file torn (String.sub s.contents 0 (boundary + 5));
-  (match P.Store.recover ~wal:torn () with
+  (match P.Store.recover_backend ~wal:torn () with
   | Error e -> Alcotest.failf "%a" P.Store.pp_recovery_error e
   | Ok rec_ ->
     Alcotest.(check (option int)) "tear reported" (Some boundary)
-      rec_.P.Store.tear;
+      rec_.P.Store.b_tear;
     Alcotest.(check int) "state is the pre-tear prefix" s.prefix_digests.(i)
-      (P.Store.digest rec_.P.Store.network);
+      (digest (fabric rec_));
     (* the tear was truncated: a second recovery is clean *)
-    match P.Store.recover ~wal:torn () with
+    match P.Store.recover_backend ~wal:torn () with
     | Ok rec2 ->
-      Alcotest.(check (option int)) "truncated" None rec2.P.Store.tear;
+      Alcotest.(check (option int)) "truncated" None rec2.P.Store.b_tear;
       Alcotest.(check int) "same state" s.prefix_digests.(i)
-        (P.Store.digest rec2.P.Store.network)
+        (digest (fabric rec2))
     | Error e -> Alcotest.failf "%a" P.Store.pp_recovery_error e);
   remove_store_files torn
 

@@ -14,6 +14,7 @@ module Churn = Wdm_traffic.Churn
 
 let ep port wl = Endpoint.make ~port ~wl
 let conn src dests = Connection.make_exn ~source:src ~destinations:dests
+let digest net = P.Backend.digest (P.Backend.Net net)
 
 (* Undersized below the Theorem-1 minimum so churn produces both
    admissions and refusals — refused connects are committed ops too,
@@ -189,14 +190,14 @@ let test_follower_catches_up () =
   let leader_sink = Tel.Sink.create () in
   let follower_sink = Tel.Sink.create () in
   let leader =
-    Srv.Server.start ~telemetry:leader_sink ~digest_every:32
-      ~net:(make_net ()) (sock ())
+    Srv.Server.start_backend ~telemetry:leader_sink ~digest_every:32
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop leader) @@ fun () ->
   let follower =
-    Srv.Server.start ~telemetry:follower_sink
+    Srv.Server.start_backend ~telemetry:follower_sink
       ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
-      ~net:(make_net ()) (sock ())
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop follower) @@ fun () ->
   Alcotest.(check bool) "follower role" true
@@ -261,8 +262,9 @@ let test_follower_catches_up () =
 let test_slow_follower_eviction () =
   let sink = Tel.Sink.create () in
   let srv =
-    Srv.Server.start ~telemetry:sink ~outbox_capacity:8 ~conn_sndbuf:4096
-      ~net:(make_net ()) (sock ())
+    Srv.Server.start_backend ~telemetry:sink ~outbox_capacity:8
+      ~conn_sndbuf:4096
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop srv) @@ fun () ->
   let path =
@@ -338,15 +340,15 @@ let test_follower_dials_late_and_redials () =
   let addr = sock () in
   let follower_sink = Tel.Sink.create () in
   let follower =
-    Srv.Server.start ~telemetry:follower_sink
+    Srv.Server.start_backend ~telemetry:follower_sink
       ~follower:{ Srv.Server.leader = addr; wal = None }
-      ~net:(make_net ()) (sock ())
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop follower) @@ fun () ->
   (* a few dials against nothing *)
   Thread.delay 0.15;
   let net = make_net () in
-  let leader = Srv.Server.start ~net addr in
+  let leader = Srv.Server.start_backend ~backend:(P.Backend.Net net) addr in
   let leader_up = ref true in
   Fun.protect ~finally:(fun () -> if !leader_up then Srv.Server.stop leader)
   @@ fun () ->
@@ -359,7 +361,7 @@ let test_follower_dials_late_and_redials () =
   (* restart the leader on the same address, over the same state *)
   Srv.Server.stop leader;
   leader_up := false;
-  let leader2 = Srv.Server.start ~net addr in
+  let leader2 = Srv.Server.start_backend ~backend:(P.Backend.Net net) addr in
   Fun.protect ~finally:(fun () -> Srv.Server.stop leader2) @@ fun () ->
   with_client leader2 (fun c ->
       for i = 1 to 3 do
@@ -425,9 +427,9 @@ let test_follower_resyncs_on_damaged_snapshot () =
   in
   let sink = Tel.Sink.create () in
   let follower =
-    Srv.Server.start ~telemetry:sink
+    Srv.Server.start_backend ~telemetry:sink
       ~follower:{ Srv.Server.leader = Srv.Server.Unix_socket path; wal = None }
-      ~net:(make_net ()) (sock ())
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
   in
   Fun.protect
     ~finally:(fun () ->
@@ -445,7 +447,7 @@ let test_follower_resyncs_on_damaged_snapshot () =
     (counter_of sink "repl_snapshots_received_total");
   match with_client follower Srv.Client.digest with
   | Ok d ->
-    Alcotest.(check int) "serves the intact state" (P.Store.digest source) d
+    Alcotest.(check int) "serves the intact state" (digest source) d
   | Error e -> Alcotest.fail (Srv.Client.error_to_string e)
 
 (* --- client deadlines ------------------------------------------------------ *)
@@ -519,35 +521,35 @@ let test_store_resume_continues_wal () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let wal = Filename.concat dir "resume.wal" in
-  let net = make_net () in
-  let store = P.Store.start ~wal net in
+  let net = P.Backend.Net (make_net ()) in
+  let store = P.Store.start_backend ~wal net in
   let log op =
-    ignore (P.Op.apply net op);
+    ignore (P.Backend.apply net op);
     P.Store.log store op
   in
   log (P.Op.Connect (conn (ep 1 1) [ ep 4 1 ]));
   log (P.Op.Connect (conn (ep 2 1) [ ep 5 1 ]));
   P.Store.close store;
   (* reopen the same WAL in append mode *)
-  match P.Store.resume ~wal () with
+  match P.Store.resume_backend ~wal () with
   | Error e -> Alcotest.fail (Format.asprintf "%a" P.Store.pp_recovery_error e)
   | Ok (store2, r) ->
-    Alcotest.(check int) "replayed the tail" 2 r.P.Store.replayed;
-    Alcotest.(check int) "same state" (P.Store.digest net)
-      (P.Store.digest r.P.Store.network);
+    Alcotest.(check int) "replayed the tail" 2 r.P.Store.b_replayed;
+    Alcotest.(check int) "same state" (P.Backend.digest net)
+      (P.Backend.digest r.P.Store.backend);
     Alcotest.(check int) "record count continues" 2
       (P.Store.wal_records store2);
-    let net2 = r.P.Store.network in
-    ignore (P.Op.apply net2 (P.Op.Connect (conn (ep 3 1) [ ep 6 1 ])));
+    let net2 = r.P.Store.backend in
+    ignore (P.Backend.apply net2 (P.Op.Connect (conn (ep 3 1) [ ep 6 1 ])));
     P.Store.log store2 (P.Op.Connect (conn (ep 3 1) [ ep 6 1 ]));
     Alcotest.(check int) "appended" 3 (P.Store.wal_records store2);
-    let final = P.Store.digest net2 in
+    let final = P.Backend.digest net2 in
     P.Store.close store2;
     (* the continued WAL recovers to the continued state *)
-    (match P.Store.recover ~wal () with
+    (match P.Store.recover_backend ~wal () with
     | Ok r2 ->
       Alcotest.(check int) "recovered digest" final
-        (P.Store.digest r2.P.Store.network)
+        (P.Backend.digest r2.P.Store.backend)
     | Error e ->
       Alcotest.fail (Format.asprintf "%a" P.Store.pp_recovery_error e))
 
@@ -565,30 +567,30 @@ let test_wal_truncate_fsyncs_the_cut () =
   close_out oc;
   let tear =
     match P.Wal.read path with
-    | Ok { P.Wal.ops; tear = Some off } ->
+    | Ok { P.Wal.ops; tear = Some off; _ } ->
       Alcotest.(check int) "intact records" 2 (List.length ops);
       off
     | Ok { tear = None; _ } -> Alcotest.fail "tear not detected"
-    | Error e -> Alcotest.fail e
+    | Error e -> Alcotest.fail e.P.Wal.reason
   in
   P.Wal.truncate_at path tear;
   Alcotest.(check int) "file cut at the tear" tear
     (Unix.stat path).Unix.st_size;
   (match P.Wal.read path with
-  | Ok { P.Wal.ops; tear = None } ->
+  | Ok { P.Wal.ops; tear = None; _ } ->
     Alcotest.(check int) "records survive the cut" 2 (List.length ops)
   | Ok { tear = Some _; _ } -> Alcotest.fail "tear survived truncation"
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail e.P.Wal.reason);
   (* and the truncated WAL accepts appends again *)
   let w2 = P.Wal.open_append ~records:2 path in
   P.Wal.append w2 (P.Op.Disconnect 1);
   Alcotest.(check int) "count seeded" 3 (P.Wal.records w2);
   P.Wal.close w2;
   match P.Wal.read path with
-  | Ok { P.Wal.ops; tear = None } ->
+  | Ok { P.Wal.ops; tear = None; _ } ->
     Alcotest.(check int) "appended past the cut" 3 (List.length ops)
   | Ok { tear = Some _; _ } -> Alcotest.fail "append left a tear"
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail e.P.Wal.reason
 
 (* --- the acceptance test: failover under churn ----------------------------- *)
 
@@ -599,15 +601,16 @@ let test_failover_preserves_state () =
   let ref_stats =
     run_churn ~sink:(Tel.Sink.create ()) (inproc_sut ref_net ref_sum)
   in
-  let ref_digest = P.Store.digest ref_net in
+  let ref_digest = digest ref_net in
   (* system under test: leader + follower, leader dies mid-run *)
   let leader =
-    Srv.Server.start ~digest_every:16 ~net:(make_net ()) (sock ())
+    Srv.Server.start_backend ~digest_every:16
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
   in
   let follower =
-    Srv.Server.start
+    Srv.Server.start_backend
       ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
-      ~net:(make_net ()) (sock ())
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop follower) @@ fun () ->
   let rc =
@@ -677,7 +680,8 @@ let test_follower_wal_resume () =
   let wal = Filename.concat dir "follower.wal" in
   let leader_sink = Tel.Sink.create () in
   let leader =
-    Srv.Server.start ~telemetry:leader_sink ~net:(make_net ())
+    Srv.Server.start_backend ~telemetry:leader_sink
+      ~backend:(P.Backend.Net (make_net ()))
       (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop leader) @@ fun () ->
@@ -685,7 +689,8 @@ let test_follower_wal_resume () =
     { Srv.Server.leader = Srv.Server.address leader; wal = Some wal }
   in
   let follower =
-    Srv.Server.start ~follower:follower_cfg ~net:(make_net ())
+    Srv.Server.start_backend ~follower:follower_cfg
+      ~backend:(P.Backend.Net (make_net ()))
       (sock ())
   in
   (* phase 1: commit some ops, let the follower persist them *)
@@ -713,7 +718,8 @@ let test_follower_wal_resume () =
      resume, not a snapshot *)
   let snapshots_before = counter_of leader_sink "repl_snapshots_sent_total" in
   let follower2 =
-    Srv.Server.start ~follower:follower_cfg ~net:(make_net ())
+    Srv.Server.start_backend ~follower:follower_cfg
+      ~backend:(P.Backend.Net (make_net ()))
       (sock ())
   in
   Fun.protect

@@ -15,6 +15,7 @@ module Churn = Wdm_traffic.Churn
 
 let ep port wl = Endpoint.make ~port ~wl
 let conn src dests = Connection.make_exn ~source:src ~destinations:dests
+let digest net = P.Backend.digest (P.Backend.Net net)
 
 (* Undersized below the Theorem-1 minimum so churn produces both
    admissions and refusals — the refusal path must cross the wire too. *)
@@ -37,7 +38,8 @@ let socket_path =
 
 let with_server ?telemetry ?store net f =
   let srv =
-    Srv.Server.start ?telemetry ?store ~net (Srv.Server.Unix_socket (socket_path ()))
+    Srv.Server.start_backend ?telemetry ?store ~backend:(P.Backend.Net net)
+      (Srv.Server.Unix_socket (socket_path ()))
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop srv) (fun () -> f srv)
 
@@ -185,7 +187,7 @@ let test_serve_basic () =
           | _ -> Alcotest.fail "bad fault should be Server_error");
           (* digest matches the live network *)
           match Srv.Client.digest c with
-          | Ok d -> Alcotest.(check int) "digest" (P.Store.digest net) d
+          | Ok d -> Alcotest.(check int) "digest" (digest net) d
           | Error e -> Alcotest.fail (Srv.Client.error_to_string e)))
 
 let test_malformed_frame_closes_connection () =
@@ -240,7 +242,7 @@ let test_silent_client_does_not_block_accept () =
           with_client srv (fun c ->
               match Srv.Client.digest c with
               | Ok d ->
-                Alcotest.(check int) "digest served" (P.Store.digest net) d
+                Alcotest.(check int) "digest served" (digest net) d
               | Error e -> Alcotest.fail (Srv.Client.error_to_string e))))
 (* ... and [with_server]'s finally returning at all is the other half
    of the regression: [stop] must not hang joining an accept thread
@@ -248,7 +250,10 @@ let test_silent_client_does_not_block_accept () =
 
 let test_client_fails_fast_after_transport_error () =
   let net = make_net () in
-  let srv = Srv.Server.start ~net (Srv.Server.Unix_socket (socket_path ())) in
+  let srv =
+    Srv.Server.start_backend ~backend:(P.Backend.Net net)
+      (Srv.Server.Unix_socket (socket_path ()))
+  in
   let c =
     match Srv.Client.connect (Srv.Server.address srv) with
     | Ok c -> c
@@ -315,7 +320,7 @@ let test_half_frame_then_close () =
           (* server is alive and clean for the next client *)
           with_client srv (fun c ->
               match Srv.Client.digest c with
-              | Ok d -> Alcotest.(check int) "still serving" (P.Store.digest net) d
+              | Ok d -> Alcotest.(check int) "still serving" (digest net) d
               | Error e -> Alcotest.fail (Srv.Client.error_to_string e))));
   let snap = Tel.Sink.snapshot sink in
   Alcotest.(check int) "malformed counted" 1
@@ -382,7 +387,7 @@ let test_peer_close_mid_request () =
 let test_partial_writes_tiny_sndbuf () =
   let net = make_net () in
   let srv =
-    Srv.Server.start ~conn_sndbuf:2048 ~net
+    Srv.Server.start_backend ~conn_sndbuf:2048 ~backend:(P.Backend.Net net)
       (Srv.Server.Unix_socket (socket_path ()))
   in
   Fun.protect
@@ -404,7 +409,7 @@ let test_partial_writes_tiny_sndbuf () =
             match P.Resp.decode_string payload with
             | Ok (P.Resp.Batch_reply rs) ->
               Alcotest.(check int) "reply arity" arity (List.length rs);
-              let d = P.Store.digest net in
+              let d = digest net in
               List.iter
                 (function
                   | P.Resp.Digest_is got ->
@@ -493,7 +498,7 @@ let test_loopback_equivalence ?steps topo () =
   Alcotest.(check bool) "refusals were exercised" true (stats_a.Churn.blocked > 0);
   Alcotest.(check int) "torn down" stats_a.Churn.torn_down stats_b.Churn.torn_down;
   (* state-level equivalence *)
-  Alcotest.(check int) "digest" (P.Store.digest net_a) digest_b;
+  Alcotest.(check int) "digest" (digest net_a) digest_b;
   (* telemetry equivalence: the network's instruments counted the same
      through the socket as in-process (the server's own server_* series
      live in the same sink; the wdmnet_ prefix selects the network's) *)
@@ -523,7 +528,7 @@ let test_pipelined_equivalence () =
     let sum = ref 0 in
     let on_admit route = sum := P.Op.route_checksum !sum route in
     let srv =
-      Srv.Server.start ~telemetry:sink ~net
+      Srv.Server.start_backend ~telemetry:sink ~backend:(P.Backend.Net net)
         (Srv.Server.Unix_socket (socket_path ()))
     in
     let stats, digest =
@@ -591,8 +596,8 @@ let test_eintr_storm () =
       Unix.mkdir dir 0o700;
       let wal = Filename.concat dir "eintr.wal" in
       let net = make_net () in
-      let store = P.Store.start ~wal net in
-      let digest =
+      let store = P.Store.start_backend ~wal (P.Backend.Net net) in
+      let served =
         with_server ~store net (fun srv ->
             with_client srv (fun c ->
                 ignore
@@ -605,8 +610,7 @@ let test_eintr_storm () =
       (* same seed in-process: the storm changed nothing *)
       let twin = make_net () in
       ignore (run_churn ~sink:(Tel.Sink.create ()) (inproc_sut twin (ref 0)));
-      Alcotest.(check int) "digest through the storm" (P.Store.digest twin)
-        digest;
+      Alcotest.(check int) "digest through the storm" (digest twin) served;
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Unix.rmdir dir)
 
@@ -676,7 +680,7 @@ let test_idle_connection_soak () =
           with_client srv (fun c ->
               match Srv.Client.digest c with
               | Ok d -> Alcotest.(check int) "served through the crowd"
-                          (P.Store.digest net) d
+                          (digest net) d
               | Error e -> Alcotest.fail (Srv.Client.error_to_string e))))
 
 (* accept(2) failing with EMFILE must not freeze the loop: the
@@ -744,7 +748,7 @@ let test_served_session_recovers () =
   Unix.mkdir dir 0o700;
   let wal = Filename.concat dir "serve.wal" in
   let net = make_net () in
-  let store = P.Store.start ~wal net in
+  let store = P.Store.start_backend ~wal (P.Backend.Net net) in
   let final_digest =
     with_server ~store net (fun srv ->
         with_client srv (fun c ->
@@ -755,12 +759,12 @@ let test_served_session_recovers () =
             | Error e -> Alcotest.fail (Srv.Client.error_to_string e)))
   in
   (* server stopped: no thread touches the store anymore *)
-  P.Store.checkpoint store net;
+  P.Store.checkpoint_backend store (P.Backend.Net net);
   P.Store.close store;
-  (match P.Store.recover ~wal () with
+  (match P.Store.recover_backend ~wal () with
   | Ok r ->
     Alcotest.(check int) "recovered digest" final_digest
-      (P.Store.digest r.P.Store.network)
+      (P.Backend.digest r.P.Store.backend)
   | Error e -> Alcotest.fail (Format.asprintf "%a" P.Store.pp_recovery_error e));
   Array.iter
     (fun f -> Sys.remove (Filename.concat dir f))
@@ -769,7 +773,7 @@ let test_served_session_recovers () =
 
 (* A request that fails to execute (refused disconnect, out-of-range
    fault index) is answered but must never reach the WAL: replaying it
-   fails, and [Store.recover] reads a failing replay as corruption —
+   fails, and [Store.recover_backend] reads a failing replay as corruption —
    one such client request would poison the log permanently. *)
 let test_failed_ops_do_not_poison_wal () =
   let dir = Filename.temp_file "wdmnet_serve_wal" "" in
@@ -777,7 +781,7 @@ let test_failed_ops_do_not_poison_wal () =
   Unix.mkdir dir 0o700;
   let wal = Filename.concat dir "serve.wal" in
   let net = make_net () in
-  let store = P.Store.start ~wal net in
+  let store = P.Store.start_backend ~wal (P.Backend.Net net) in
   let final_digest =
     with_server ~store net (fun srv ->
         with_client srv (fun c ->
@@ -812,16 +816,166 @@ let test_failed_ops_do_not_poison_wal () =
   P.Store.close store;
   (* no checkpoint after serving: recovery must replay the WAL tail,
      which holds only the three ops that executed *)
-  (match P.Store.recover ~wal () with
+  (match P.Store.recover_backend ~wal () with
   | Ok r ->
-    Alcotest.(check int) "replayed only executed ops" 3 r.P.Store.replayed;
+    Alcotest.(check int) "replayed only executed ops" 3 r.P.Store.b_replayed;
     Alcotest.(check int) "recovered digest" final_digest
-      (P.Store.digest r.P.Store.network)
+      (P.Backend.digest r.P.Store.backend)
   | Error e -> Alcotest.fail (Format.asprintf "%a" P.Store.pp_recovery_error e));
   Array.iter
     (fun f -> Sys.remove (Filename.concat dir f))
     (Sys.readdir dir);
   Unix.rmdir dir
+
+(* --- commit / replay lockstep --------------------------------------------- *)
+
+(* The server commits an op exactly when replaying it succeeds.  Each
+   engine runs a script that reaches every op kind — admitted and
+   refused connects, a disconnect that succeeds, one of an unknown id
+   and one already released, a valid and an invalid fault
+   inject/clear, an admitted and a refused repair — in two ways:
+   in-process, where [Backend.apply] on one twin must fail exactly
+   when [Resp.execute_backend] on the other answers [Release_failed]
+   or [Server_error]; and served with a WAL, where replaying the
+   journalled ops into a fresh backend must reproduce the served
+   digest.  [first] is the route id the script's first connect got. *)
+let fault_middle j = Wdm_faults.Fault.Middle j
+
+let lockstep_script =
+  let connect src dests = P.Op.Connect (conn src dests) in
+  let repair src dests = P.Op.Repair { connection = conn src dests; rehomed = false } in
+  [
+    ("admitted connect", "admitted", fun _ -> connect (ep 1 1) [ ep 4 1; ep 7 1 ]);
+    ("refused connect", "refused", fun _ -> connect (ep 1 1) [ ep 99 1 ]);
+    ("disconnect", "released", fun first -> P.Op.Disconnect first);
+    ("disconnect again", "release_failed", fun first -> P.Op.Disconnect first);
+    ("disconnect unknown", "release_failed", fun _ -> P.Op.Disconnect 999);
+    ("valid inject", "fault_applied", fun _ -> P.Op.Inject_fault (fault_middle 2));
+    ("invalid inject", "server_error", fun _ -> P.Op.Inject_fault (fault_middle 99));
+    ("valid clear", "fault_cleared", fun _ -> P.Op.Clear_fault (fault_middle 2));
+    ("invalid clear", "server_error", fun _ -> P.Op.Clear_fault (fault_middle 99));
+    ("admitted repair", "admitted", fun _ -> repair (ep 2 1) [ ep 5 1 ]);
+    ("refused repair", "refused", fun _ -> repair (ep 3 1) [ ep 99 1 ]);
+    ("last connect", "admitted", fun _ -> connect (ep 3 2) [ ep 8 2 ]);
+  ]
+
+let outcome_kind = function
+  | P.Resp.Admitted _ -> "admitted"
+  | P.Resp.Refused _ -> "refused"
+  | P.Resp.Released _ -> "released"
+  | P.Resp.Release_failed _ -> "release_failed"
+  | P.Resp.Fault_applied _ -> "fault_applied"
+  | P.Resp.Fault_cleared -> "fault_cleared"
+  | P.Resp.Server_error _ -> "server_error"
+  | other -> Format.asprintf "%a" P.Resp.pp other
+
+(* a mesh has no switch fabric to fault: every fault op is refused *)
+let lockstep_expect backend expect =
+  match (backend, expect) with
+  | P.Backend.Mesh _, ("fault_applied" | "fault_cleared") -> "server_error"
+  | _ -> expect
+
+let lockstep_engines =
+  [
+    ("fabric", fun () -> P.Backend.Net (make_net ()));
+    ( "mesh",
+      fun () ->
+        P.Backend.Mesh (Result.get_ok (Wdm_mesh.Mesh_network.create "nsf14")) );
+  ]
+
+let first_route_id = function
+  | P.Resp.Admitted { route; _ } -> Some route.Network.id
+  | _ -> None
+
+let test_commit_replay_lockstep () =
+  List.iter
+    (fun (engine, make) ->
+      (* in-process: replay fails iff the served answer is a failure *)
+      let served = make () and replayed = make () in
+      let first = ref None in
+      List.iter
+        (fun (label, expect, op) ->
+          let op = op (Option.value ~default:0 !first) in
+          let resp = P.Resp.execute_backend served (P.Resp.Admit op) in
+          if !first = None then first := first_route_id resp;
+          let what = Printf.sprintf "%s %s" engine label in
+          Alcotest.(check string) what (lockstep_expect served expect)
+            (outcome_kind resp);
+          let failed =
+            match resp with
+            | P.Resp.Release_failed _ | P.Resp.Server_error _ -> true
+            | _ -> false
+          in
+          Alcotest.(check bool) (what ^ ": replay fails iff the answer did")
+            failed
+            (Result.is_error (P.Backend.apply replayed op)))
+        lockstep_script;
+      Alcotest.(check int) (engine ^ " twins agree") (P.Backend.digest served)
+        (P.Backend.digest replayed);
+      (* served with a WAL: the journal replays to the served state *)
+      let dir = Filename.temp_file "wdmnet_lockstep" "" in
+      Sys.remove dir;
+      Unix.mkdir dir 0o700;
+      let wal = Filename.concat dir "lockstep.wal" in
+      let backend = make () in
+      let store = P.Store.start_backend ~wal backend in
+      let srv =
+        Srv.Server.start_backend ~store ~backend
+          (Srv.Server.Unix_socket (socket_path ()))
+      in
+      let digest =
+        Fun.protect
+          ~finally:(fun () -> Srv.Server.stop srv)
+          (fun () ->
+            with_client srv (fun c ->
+                let first = ref None in
+                List.iter
+                  (fun (label, expect, op) ->
+                    let op = op (Option.value ~default:0 !first) in
+                    match Srv.Client.request c (P.Resp.Admit op) with
+                    | Ok resp ->
+                      if !first = None then first := first_route_id resp;
+                      Alcotest.(check string)
+                        (Printf.sprintf "%s served %s" engine label)
+                        (lockstep_expect backend expect) (outcome_kind resp)
+                    | Error e -> Alcotest.fail (Srv.Client.error_to_string e))
+                  lockstep_script;
+                match Srv.Client.digest c with
+                | Ok d -> d
+                | Error e -> Alcotest.fail (Srv.Client.error_to_string e)))
+      in
+      P.Store.close store;
+      let ops =
+        match P.Wal.read wal with
+        | Ok { P.Wal.ops; tear = None; _ } -> List.map snd ops
+        | _ -> Alcotest.fail (engine ^ ": served WAL unreadable")
+      in
+      let committed =
+        List.length
+          (List.filter
+             (fun (_, expect, _) ->
+               match lockstep_expect backend expect with
+               | "release_failed" | "server_error" -> false
+               | _ -> true)
+             lockstep_script)
+      in
+      Alcotest.(check int) (engine ^ " committed ops") committed
+        (List.length ops);
+      let twin = make () in
+      List.iter
+        (fun op ->
+          match P.Backend.apply twin op with
+          | Ok () -> ()
+          | Error e ->
+            Alcotest.failf "%s: committed op fails replay: %s" engine e)
+        ops;
+      Alcotest.(check int) (engine ^ " replayed WAL = served digest") digest
+        (P.Backend.digest twin);
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+    lockstep_engines
 
 (* --- server telemetry ----------------------------------------------------- *)
 
@@ -829,7 +983,7 @@ let test_server_instruments () =
   let sink = Tel.Sink.create () in
   let net = make_net () in
   let srv =
-    Srv.Server.start ~telemetry:sink ~net
+    Srv.Server.start_backend ~telemetry:sink ~backend:(P.Backend.Net net)
       (Srv.Server.Unix_socket (socket_path ()))
   in
   Fun.protect
@@ -917,7 +1071,7 @@ let test_old_client_new_server () =
             match P.Resp.decode_string payload with
             | Ok (P.Resp.Digest_is d) ->
               Alcotest.(check int) "digest over a span-less connection"
-                (P.Store.digest net) d
+                (digest net) d
             | _ -> Alcotest.fail "expected Digest_is")
           | _ -> Alcotest.fail "expected a response frame"))
 
@@ -984,7 +1138,7 @@ let test_span_ring_and_chrome () =
   let sink = Tel.Sink.create () in
   let net = make_net () in
   let srv =
-    Srv.Server.start ~telemetry:sink ~net
+    Srv.Server.start_backend ~telemetry:sink ~backend:(P.Backend.Net net)
       (Srv.Server.Unix_socket (socket_path ()))
   in
   let client_span =
@@ -1065,7 +1219,7 @@ let test_http_plane () =
   let sink = Tel.Sink.create () in
   let net = make_net () in
   let srv =
-    Srv.Server.start ~telemetry:sink ~net
+    Srv.Server.start_backend ~telemetry:sink ~backend:(P.Backend.Net net)
       ~http:(Srv.Server.Tcp ("127.0.0.1", 0))
       (Srv.Server.Unix_socket (socket_path ()))
   in
@@ -1114,11 +1268,178 @@ let test_http_plane () =
   let status, _ = http_get http "/nope" in
   Alcotest.(check int) "unknown path" 404 status
 
+(* --- decoder fuzz: frame streams and HTTP request heads ------------------- *)
+
+let mutate_bytes rng s =
+  let b = Bytes.of_string s in
+  for _ = 1 to 1 + Random.State.int rng 4 do
+    Bytes.set_uint8 b
+      (Random.State.int rng (Bytes.length b))
+      (Random.State.int rng 256)
+  done;
+  Bytes.to_string b
+
+(* Feeds [stream] to a fresh buffer in random-sized pieces, draining
+   every complete frame after each piece; stops at the first [Bad] (the
+   stream is unrecoverable past framing damage).  Returns the payloads
+   decoded before that. *)
+let feed_split rng stream =
+  let fb = Srv.Framebuf.create ~capacity:16 () in
+  let n = String.length stream in
+  let frames = ref [] in
+  let rec drain () =
+    match Srv.Framebuf.next_frame fb with
+    | Srv.Framebuf.Frame payload ->
+      frames := payload :: !frames;
+      drain ()
+    | Srv.Framebuf.Need k ->
+      if k < 1 then Alcotest.failf "Need %d asks for nothing" k;
+      true
+    | Srv.Framebuf.Bad _ -> false
+  in
+  let rec go pos =
+    if pos < n then begin
+      let len = min (n - pos) (1 + Random.State.int rng 48) in
+      Srv.Framebuf.add_string fb (String.sub stream pos len);
+      if drain () then go (pos + len)
+    end
+  in
+  go 0;
+  List.rev !frames
+
+(* Real request frames — every op kind, the control requests and a
+   batch — cut into random pieces: intact, they decode to the same
+   payloads in order; damaged in 1-4 bytes, every step answers
+   [Frame], [Bad] or [Need] and never raises. *)
+let test_framebuf_mutation_fuzz () =
+  let c = conn (ep 1 1) [ ep 2 1; ep 5 2 ] in
+  let ops =
+    [
+      P.Op.Connect c;
+      P.Op.Disconnect 7;
+      P.Op.Inject_fault (Wdm_faults.Fault.Middle 2);
+      P.Op.Clear_fault
+        (Wdm_faults.Fault.Stage2_laser { middle = 1; output = 3; wl = 2 });
+      P.Op.Repair { connection = c; rehomed = true };
+    ]
+  in
+  let requests =
+    List.map (fun op -> P.Resp.Admit op) ops
+    @ [ P.Resp.Get_digest; P.Resp.Get_stats; P.Resp.Promote;
+        P.Resp.Batch (List.map (fun op -> P.Resp.Admit op) ops) ]
+  in
+  let payloads =
+    List.map
+      (fun req ->
+        let b = Buffer.create 64 in
+        P.Resp.encode_request b req;
+        Buffer.contents b)
+      requests
+  in
+  let stream = String.concat "" (List.map P.Wire.frame payloads) in
+  let rng = Random.State.make [| 0xf4a3e |] in
+  for _ = 1 to 50 do
+    if feed_split rng stream <> payloads then
+      Alcotest.fail "an intact stream fed in pieces decoded differently"
+  done;
+  for _ = 1 to 2000 do
+    match feed_split rng (mutate_bytes rng stream) with
+    | _ -> ()
+    | exception e ->
+      Alcotest.failf "next_frame raised %s" (Printexc.to_string e)
+  done
+
+(* Sends one raw HTTP head, half-closes, and reads to EOF (2 s cap).
+   [None] when the server reset the connection instead of answering. *)
+let http_raw addr head =
+  let fd, sockaddr =
+    match addr with
+    | Srv.Server.Tcp (host, port) ->
+      ( Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0,
+        Unix.ADDR_INET (Unix.inet_addr_of_string host, port) )
+    | Srv.Server.Unix_socket p ->
+      (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0, Unix.ADDR_UNIX p)
+  in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0;
+      Unix.connect fd sockaddr;
+      match
+        Srv.Protocol.write_all fd head;
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        let buf = Buffer.create 256 in
+        let chunk = Bytes.create 4096 in
+        let rec drain () =
+          match Unix.read fd chunk 0 4096 with
+          | 0 -> Buffer.contents buf
+          | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            drain ()
+        in
+        drain ()
+      with
+      | answer -> Some answer
+      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+        None)
+
+(* Mutated request heads against a live observability listener: each
+   gets an HTTP answer (or a reset, when the server answered and closed
+   before the damaged head was fully read), never a hang; afterwards
+   /healthz still answers and the request plane still serves. *)
+let test_http_head_mutation_fuzz () =
+  let net = make_net () in
+  let srv =
+    Srv.Server.start_backend ~backend:(P.Backend.Net net)
+      ~http:(Srv.Server.Tcp ("127.0.0.1", 0))
+      (Srv.Server.Unix_socket (socket_path ()))
+  in
+  Fun.protect ~finally:(fun () -> Srv.Server.stop srv) @@ fun () ->
+  let http =
+    match Srv.Server.http_address srv with
+    | Some a -> a
+    | None -> Alcotest.fail "no http address"
+  in
+  let heads =
+    [
+      "GET /healthz HTTP/1.0\r\n\r\n";
+      "GET /metrics?x=1 HTTP/1.1\r\nHost: localhost\r\nAccept: */*\r\n\r\n";
+      "GET /readyz HTTP/1.0\n\n";
+      "POST /spans HTTP/1.0\r\nContent-Length: 0\r\n\r\n";
+    ]
+  in
+  let rng = Random.State.make [| 0x477b |] in
+  List.iter
+    (fun head ->
+      for _ = 1 to 12 do
+        let damaged = mutate_bytes rng head in
+        match http_raw http damaged with
+        | None -> ()
+        | Some answer ->
+          if
+            String.length answer < 9 || String.sub answer 0 9 <> "HTTP/1.0 "
+          then Alcotest.failf "%S answered %S" damaged answer
+      done)
+    heads;
+  let status, body = http_get http "/healthz" in
+  Alcotest.(check int) "healthz status after the fuzz" 200 status;
+  Alcotest.(check string) "healthz body after the fuzz" "ok\n" body;
+  with_client srv (fun c ->
+      (match
+         Srv.Client.request c
+           (P.Resp.Admit (P.Op.Connect (conn (ep 1 1) [ ep 4 1 ])))
+       with
+      | Ok (P.Resp.Admitted _) -> ()
+      | _ -> Alcotest.fail "request plane stopped admitting");
+      match Srv.Client.digest c with
+      | Ok d -> Alcotest.(check int) "request plane serves" (digest net) d
+      | Error e -> Alcotest.fail (Srv.Client.error_to_string e))
+
 (* /readyz follows the replication life cycle: ready once caught up,
    behind when the leader disappears, ready again after promotion. *)
 let test_readyz_follows_role () =
   let leader =
-    Srv.Server.start ~net:(make_net ())
+    Srv.Server.start_backend ~backend:(P.Backend.Net (make_net ()))
       (Srv.Server.Unix_socket (socket_path ()))
   in
   let leader_stopped = ref false in
@@ -1133,8 +1454,8 @@ let test_readyz_follows_role () =
                 (P.Op.Connect (conn (ep i 1) [ ep ((i mod 9) + 1) 1 ]))))
       done);
   let follower =
-    Srv.Server.start
-      ~net:(make_net ())
+    Srv.Server.start_backend
+      ~backend:(P.Backend.Net (make_net ()))
       ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
       ~http:(Srv.Server.Tcp ("127.0.0.1", 0))
       (Srv.Server.Unix_socket (socket_path ()))
@@ -1180,7 +1501,8 @@ let test_slow_log () =
     let sink = Tel.Sink.create () in
     let net = make_net () in
     let srv =
-      Srv.Server.start ~telemetry:sink ~slow_ms ~slow_log:path ~net
+      Srv.Server.start_backend ~telemetry:sink ~slow_ms ~slow_log:path
+        ~backend:(P.Backend.Net net)
         (Srv.Server.Unix_socket (socket_path ()))
     in
     Fun.protect
@@ -1256,6 +1578,10 @@ let () =
             test_idle_connection_soak;
           Alcotest.test_case "accept EMFILE keeps serving" `Quick
             test_accept_emfile_keeps_serving;
+          Alcotest.test_case "frame stream mutation fuzz" `Quick
+            test_framebuf_mutation_fuzz;
+          Alcotest.test_case "http head mutation fuzz" `Quick
+            test_http_head_mutation_fuzz;
         ] );
       ( "observability",
         [
@@ -1284,5 +1610,7 @@ let () =
             test_served_session_recovers;
           Alcotest.test_case "failed ops not WAL-logged" `Quick
             test_failed_ops_do_not_poison_wal;
+          Alcotest.test_case "commit/replay lockstep" `Quick
+            test_commit_replay_lockstep;
         ] );
     ]
