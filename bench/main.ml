@@ -206,21 +206,11 @@ let fault_tolerance () =
       for j = 1 to faults do
         ignore (Network.fail_middle net j)
       done;
-      let sut =
-        {
-          Wdm_traffic.Churn.connect =
-            (fun c ->
-              match Network.connect net c with
-              | Ok route -> Ok route.Network.id
-              | Error e -> Error e);
-          disconnect = (fun id -> ignore (Network.disconnect net id));
-        }
-      in
       let stats =
         Wdm_traffic.Churn.run (Random.State.make [| 83 |])
           ~spec:(Topology.spec topo) ~model:Model.MSW
           ~fanout:(Wdm_traffic.Fanout.Zipf { max = 9; s = 1.0 })
-          ~steps:2000 ~teardown_bias:0.3 sut
+          ~steps:2000 ~teardown_bias:0.3 (An.Blocking.churn_sut net)
       in
       An.Table.add_row t
         [
@@ -253,21 +243,11 @@ let x_limit_ablation () =
           ~config:{ Network.Config.default with x_limit = Some x }
           ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
       in
-      let sut =
-        {
-          Wdm_traffic.Churn.connect =
-            (fun c ->
-              match Network.connect net c with
-              | Ok route -> Ok route.Network.id
-              | Error e -> Error e);
-          disconnect = (fun id -> ignore (Network.disconnect net id));
-        }
-      in
       let stats =
         Wdm_traffic.Churn.run (Random.State.make [| 61 |])
           ~spec:(Topology.spec topo) ~model:Model.MSW
           ~fanout:(Wdm_traffic.Fanout.Zipf { max = 16; s = 1.0 })
-          ~steps:3000 ~teardown_bias:0.3 sut
+          ~steps:3000 ~teardown_bias:0.3 (An.Blocking.churn_sut net)
       in
       An.Table.add_row t
         [
@@ -572,22 +552,12 @@ let rearrangement_latency ~iters cases =
       let on_blocked c _ =
         if !snapshot = None then snapshot := Some (c, Network.copy net)
       in
-      let sut =
-        {
-          Wdm_traffic.Churn.connect =
-            (fun c ->
-              match Network.connect net c with
-              | Ok route -> Ok route.Network.id
-              | Error e -> Error e);
-          disconnect = (fun id -> ignore (Network.disconnect net id));
-        }
-      in
       ignore
         (Wdm_traffic.Churn.run ~on_blocked
            (Random.State.make [| 97 |])
            ~spec:(Topology.spec topo) ~model:Model.MSW
            ~fanout:(Wdm_traffic.Fanout.Uniform (1, n))
-           ~steps:2000 ~teardown_bias:0.2 sut);
+           ~steps:2000 ~teardown_bias:0.2 (An.Blocking.churn_sut net));
       match !snapshot with
       | None -> None
       | Some (probe, blocked_state) ->
@@ -841,30 +811,7 @@ let mesh_blocking_bench ~quick () =
   | Error e -> failwith ("mesh_blocking: " ^ e)
   | Ok cells ->
     Format.printf "%a@." Campaign.pp_table cells;
-    ( "mesh_blocking",
-      J.Obj
-        [
-          ("seed", J.Int spec.Campaign.seed);
-          ("wavelengths", J.Int spec.Campaign.k);
-          ("arrivals_per_cell", J.Int spec.Campaign.arrivals);
-          ( "cells",
-            J.List
-              (List.map
-                 (fun (c : Campaign.cell) ->
-                   let p = c.Campaign.point in
-                   J.Obj
-                     [
-                       ("topo", J.String c.Campaign.topo);
-                       ("strategy", J.String c.Campaign.strategy);
-                       ("erlangs", J.Float p.Wdm_traffic.Erlang.offered_erlangs);
-                       ("arrivals", J.Int p.Wdm_traffic.Erlang.arrivals);
-                       ("accepted", J.Int p.Wdm_traffic.Erlang.accepted);
-                       ("blocked", J.Int p.Wdm_traffic.Erlang.blocked);
-                       ("blocking", J.Float p.Wdm_traffic.Erlang.blocking);
-                       ("mean_active", J.Float p.Wdm_traffic.Erlang.mean_active);
-                     ])
-                 cells) );
-        ] )
+    ("mesh_blocking", Campaign.to_json spec cells)
 
 (* ----------------------------------------------------------------- *)
 (* Strategy racing (plug-in lab)                                      *)
@@ -884,30 +831,7 @@ let strategy_compare_bench ~quick () =
   | Error e -> failwith ("strategy_compare: " ^ e)
   | Ok cells ->
     Format.printf "%a@." Lab_compare.pp_table cells;
-    ( "strategy_compare",
-      J.Obj
-        [
-          ("seed", J.Int spec.Lab_compare.seed);
-          ( "strategies",
-            J.List
-              (List.map (fun s -> J.String s) spec.Lab_compare.strategies) );
-          ( "cells",
-            J.List
-              (List.map
-                 (fun (c : Lab_compare.cell) ->
-                   J.Obj
-                     [
-                       ("engine", J.String c.Lab_compare.engine);
-                       ("workload", J.String c.Lab_compare.workload);
-                       ("strategy", J.String c.Lab_compare.strategy);
-                       ("attempts", J.Int c.Lab_compare.attempts);
-                       ("accepted", J.Int c.Lab_compare.accepted);
-                       ("blocked", J.Int c.Lab_compare.blocked);
-                       ("blocking", J.Float c.Lab_compare.blocking);
-                       ("mean_connect_us", J.Float c.Lab_compare.mean_connect_us);
-                     ])
-                 cells) );
-        ] )
+    ("strategy_compare", Lab_compare.to_json spec cells)
 
 let write_results fragments =
   let oc = open_out "BENCH_results.json" in

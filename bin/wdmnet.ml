@@ -7,7 +7,8 @@
      tables    - regenerate Tables 1 and 2
      sweep     - theorem bounds / crossover / capacity growth series
      fig10     - play the Fig. 10 scenario
-     simulate  - churn a three-stage network and report blocking *)
+     simulate  - churn a three-stage network and report blocking, under
+                 a fault campaign (--with-faults), journalled (--wal) *)
 
 open Cmdliner
 open Wdm_core
@@ -63,60 +64,39 @@ let wal_arg =
                can be recovered after a crash ($(b,wdmnet recover)).")
 
 let snapshot_every_arg =
-  Arg.(value & opt int 1000 & info [ "snapshot-every" ] ~docv:"OPS"
-         ~doc:"Checkpoint cadence, in network ops, when --wal is given.")
+  let check n =
+    if n < 1 then begin
+      prerr_endline "wdmnet: snapshot-every must be >= 1";
+      exit 2
+    end;
+    n
+  in
+  Term.(const check
+        $ Arg.(value & opt int 1000 & info [ "snapshot-every" ] ~docv:"OPS"
+                 ~doc:"Checkpoint cadence, in network ops, when --wal is given."))
 
-let check_snapshot_every n =
-  if n < 1 then begin
-    prerr_endline "wdmnet: snapshot-every must be >= 1";
-    exit 2
-  end
+(* The WAL flush policy: flush to the OS after every record unless
+   --fsync-every asks for an fsync every N records. *)
+let fsync_arg =
+  let policy = function
+    | None -> None
+    | Some fe when fe < 1 ->
+      prerr_endline "wdmnet: fsync-every must be >= 1";
+      exit 2
+    | Some fe -> Some (Persist.Wal.Fsync_every fe)
+  in
+  Term.(const policy
+        $ Arg.(value & opt (some int) None & info [ "fsync-every" ] ~docv:"N"
+                 ~doc:"fsync the WAL every N records (default: flush to the \
+                       OS after every record, no fsync)."))
 
-(* Wraps a SUT so every interaction is journalled: requests (connect,
-   disconnect, fault events) before they execute, repairs after, with
-   the observed outcome.  Replay re-derives everything else. *)
-let logged_sut store (sut : (int, 'err) Wdm_traffic.Churn.sut) =
-  {
-    Wdm_traffic.Churn.connect =
-      (fun c ->
-        Persist.Store.log store (Persist.Op.Connect c);
-        sut.Wdm_traffic.Churn.connect c);
-    disconnect =
-      (fun id ->
-        Persist.Store.log store (Persist.Op.Disconnect id);
-        sut.Wdm_traffic.Churn.disconnect id);
-  }
-
-let logged_fsut store (fsut : (int, 'err, _) Wdm_traffic.Churn.faulty_sut) =
-  {
-    Wdm_traffic.Churn.base = logged_sut store fsut.Wdm_traffic.Churn.base;
-    inject =
-      (fun f ->
-        Persist.Store.log store (Persist.Op.Inject_fault f);
-        fsut.Wdm_traffic.Churn.inject f);
-    clear =
-      (fun f ->
-        Persist.Store.log store (Persist.Op.Clear_fault f);
-        fsut.Wdm_traffic.Churn.clear f);
-    reconnect =
-      (fun c ->
-        let outcome = fsut.Wdm_traffic.Churn.reconnect c in
-        Persist.Store.log store
-          (Persist.Op.Repair
-             { connection = c; rehomed = Result.is_ok outcome });
-        outcome);
-  }
-
-let persist_hook store backend ~snapshot_every =
-  {
-    Wdm_traffic.Churn.policy = Wdm_traffic.Churn.Every_n_ops snapshot_every;
-    checkpoint = (fun ~ops:_ -> Persist.Store.checkpoint_backend store backend);
-  }
-
-(* Final checkpoint + digest line; the digest is what `recover
-   --expect-digest` (and the CI smoke test) verify against. *)
+(* Final checkpoint, WAL size and digest line; the digest is what
+   `recover --expect-digest` (and the CI smoke tests) verify against. *)
 let finish_store store backend =
   Persist.Store.checkpoint_backend store backend;
+  Printf.printf "wal: %d records, %d bytes\n"
+    (Persist.Store.wal_records store)
+    (Persist.Store.wal_offset store);
   Printf.printf "state digest: %d\n" (Persist.Backend.digest backend);
   Persist.Store.close store
 
@@ -152,6 +132,154 @@ let check_dims n k =
     prerr_endline "wdmnet: N and K must be >= 1";
     exit 2
   end
+
+(* --- the three-stage fabric ---------------------------------------------- *)
+
+(* The fabric every churn subcommand and serve build, read from one set
+   of flags: [m] defaults to the Theorem 1/2 minimum [m_min] of the
+   construction. *)
+type fabric = {
+  n : int;
+  r : int;
+  k : int;
+  m : int;
+  m_min : int;
+  construction : Network.construction;
+  model : Model.t;
+}
+
+let n_local_arg =
+  Arg.(value & opt int 4 & info [ "n-local" ] ~docv:"NL"
+         ~doc:"Ports per input/output module.")
+
+let r_arg =
+  Arg.(value & opt int 4 & info [ "r" ] ~docv:"R" ~doc:"Input/output modules.")
+
+let fabric_term =
+  let m_arg =
+    Arg.(value & opt (some int) None & info [ "m" ] ~docv:"M"
+           ~doc:"Middle modules; defaults to the theorem minimum.")
+  in
+  let construction_arg =
+    Arg.(
+      value
+      & opt (enum [ ("msw-dominant", Network.Msw_dominant); ("maw-dominant", Network.Maw_dominant) ])
+          Network.Msw_dominant
+      & info [ "construction" ] ~docv:"C" ~doc:"msw-dominant or maw-dominant.")
+  in
+  let make n r k m construction model =
+    check_dims n k;
+    if r < 1 then begin prerr_endline "wdmnet: R must be >= 1"; exit 2 end;
+    let m_min = (An.Blocking.theorem ~construction ~n ~r ~k).Conditions.m_min in
+    { n; r; k; m = Option.value ~default:m_min m; m_min; construction; model }
+  in
+  Term.(const make $ n_local_arg $ r_arg $ k_arg $ m_arg $ construction_arg
+        $ model_arg)
+
+(* A fresh network of the fabric, [slack] middle modules above its [m]. *)
+let fabric_network ?telemetry
+    ?(strategy = Network.Config.default.Network.Config.strategy) ?(slack = 0)
+    f =
+  Network.create
+    ~config:{ Network.Config.default with telemetry; strategy }
+    ~construction:f.construction ~output_model:f.model
+    (Topology.make_exn ~n:f.n ~m:(f.m + slack) ~r:f.r ~k:f.k)
+
+(* --- churn ------------------------------------------------------------------ *)
+
+module Churn = Wdm_traffic.Churn
+
+let seed_arg =
+  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
+
+let steps_arg ?(doc = "Churn events.") default =
+  Arg.(value & opt int default & info [ "steps" ] ~docv:"STEPS" ~doc)
+
+let with_faults_arg =
+  Arg.(value & flag & info [ "with-faults" ]
+         ~doc:"Drive the workload through the fault-injection campaign \
+               (middle-module faults, mtbf 1000, mttr 400) instead of \
+               plain churn, so the fault/repair counter families are \
+               exercised and a $(b,--wal) carries inject/clear/repair \
+               records too.")
+
+(* The fault campaign of a churn run: failure/repair processes for the
+   components of [net] that [keep] selects (middle modules unless told
+   otherwise), drawn from the seed, the 0xfa salt and [row]. *)
+let fault_schedule ?(keep = function Wdm_faults.Fault.Middle _ -> true | _ -> false)
+    ?(mtbf = 1000.) ?(mttr = 400.) ?(row = [||]) ~seed ~steps net =
+  let open Wdm_faults in
+  let topo = Network.topology net in
+  Schedule.generate
+    ~rng:(Random.State.make (Array.append [| seed; 0xfa |] row))
+    ~universe:
+      (List.filter keep
+         (Fault.universe ~m:topo.Topology.m ~r:topo.Topology.r
+            ~k:topo.Topology.k))
+    ~mtbf ~mttr ~steps
+  |> List.map (fun { Schedule.step; action } ->
+         match action with
+         | Schedule.Inject fault -> (step, `Inject fault)
+         | Schedule.Clear fault -> (step, `Clear fault))
+
+(* Journals every interaction: requests (connect, disconnect, fault
+   events) before they execute, repairs after, with the observed
+   outcome.  Replay re-derives everything else. *)
+let logged_fsut store (fsut : (int, 'err, _) Churn.faulty_sut) =
+  let log op = Persist.Store.log store op in
+  {
+    Churn.base =
+      {
+        Churn.connect =
+          (fun c -> log (Persist.Op.Connect c); fsut.Churn.base.Churn.connect c);
+        disconnect =
+          (fun id ->
+            log (Persist.Op.Disconnect id);
+            fsut.Churn.base.Churn.disconnect id);
+      };
+    inject = (fun f -> log (Persist.Op.Inject_fault f); fsut.Churn.inject f);
+    clear = (fun f -> log (Persist.Op.Clear_fault f); fsut.Churn.clear f);
+    reconnect =
+      (fun c ->
+        let outcome = fsut.Churn.reconnect c in
+        log
+          (Persist.Op.Repair { connection = c; rehomed = Result.is_ok outcome });
+        outcome);
+  }
+
+(* [steps] seeded churn events against [net]: plain churn, or the fault
+   [schedule] with its victims re-homed by rearrangement.  With
+   [journal = (store, every)] each op is logged to [store] and a
+   snapshot is taken every [every] ops.  Returns the driver's summary
+   line. *)
+let churn ?telemetry ?journal ?schedule ~seed ~steps f net =
+  let fsut = An.Blocking.faulty_sut net in
+  let fsut =
+    match journal with None -> fsut | Some (st, _) -> logged_fsut st fsut
+  in
+  let persist =
+    Option.map
+      (fun (st, every) ->
+        {
+          Churn.policy = Churn.Every_n_ops every;
+          checkpoint =
+            (fun ~ops:_ ->
+              Persist.Store.checkpoint_backend st (Persist.Backend.Net net));
+        })
+      journal
+  in
+  let rng = Random.State.make [| seed |] in
+  let spec = Topology.spec (Network.topology net) in
+  let fanout = Wdm_traffic.Fanout.Zipf { max = f.n * f.r; s = 1.1 } in
+  match schedule with
+  | None ->
+    Format.asprintf "%a" Churn.pp_stats
+      (Churn.run ?telemetry ?persist rng ~spec ~model:f.model ~fanout ~steps
+         ~teardown_bias:0.35 fsut.Churn.base)
+  | Some schedule ->
+    Format.asprintf "%a" Churn.pp_fault_stats
+      (Churn.run_with_faults ?telemetry ?persist rng ~spec ~model:f.model
+         ~fanout ~steps ~teardown_bias:0.35 ~schedule fsut)
 
 (* --- capacity ---------------------------------------------------------- *)
 
@@ -264,30 +392,6 @@ let fig10_cmd =
 (* --- simulate ----------------------------------------------------------- *)
 
 let simulate_cmd =
-  let m_arg =
-    Arg.(value & opt (some int) None & info [ "m" ] ~docv:"M"
-           ~doc:"Middle modules; defaults to the theorem minimum.")
-  in
-  let r_arg =
-    Arg.(value & opt int 4 & info [ "r" ] ~docv:"R" ~doc:"Input/output modules.")
-  in
-  let n_local_arg =
-    Arg.(value & opt int 4 & info [ "n-local" ] ~docv:"NL"
-           ~doc:"Ports per input/output module.")
-  in
-  let construction_arg =
-    Arg.(
-      value
-      & opt (enum [ ("msw-dominant", Network.Msw_dominant); ("maw-dominant", Network.Maw_dominant) ])
-          Network.Msw_dominant
-      & info [ "construction" ] ~docv:"C" ~doc:"msw-dominant or maw-dominant.")
-  in
-  let steps_arg =
-    Arg.(value & opt int 2000 & info [ "steps" ] ~docv:"STEPS" ~doc:"Churn events.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let stats_json_arg =
     Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE"
            ~doc:"Write the final metrics snapshot as JSON.")
@@ -298,60 +402,31 @@ let simulate_cmd =
                  or any registered plug-in (adaptive, annealed, \
                  crosstalk[:BASE[:DB]]).  Default: min-intersection.")
   in
-  let run n r k m construction model steps seed strategy trace_file stats_json
-      wal snapshot_every =
-    check_dims n k;
-    if r < 1 then begin prerr_endline "wdmnet: R must be >= 1"; exit 2 end;
-    check_snapshot_every snapshot_every;
+  let run f steps seed strategy with_faults trace_file stats_json wal
+      snapshot_every policy =
     let strategy =
       match strategy with
       | None -> Network.Config.default.Network.Config.strategy
       | Some s -> check_strategy Network.Strategy.find s
     in
-    let eval =
-      match construction with
-      | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-      | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-    in
-    let m = Option.value ~default:eval.Conditions.m_min m in
-    let topo = Topology.make_exn ~n ~m ~r ~k in
-    Format.printf "topology: %a (theorem m_min = %d)\n" Topology.pp topo
-      eval.Conditions.m_min;
     let telemetry, trace = make_sink ~want_metrics:(stats_json <> None) trace_file in
-    let net =
-      Network.create
-        ~config:{ Network.Config.default with telemetry; strategy }
-        ~construction ~output_model:model topo
-    in
+    let net = fabric_network ?telemetry ~strategy f in
+    Format.printf "topology: %a (theorem m_min = %d)\n" Topology.pp
+      (Network.topology net) f.m_min;
     Format.printf "strategy: %s\n" strategy;
-    let sut =
-      {
-        Wdm_traffic.Churn.connect =
-          (fun c ->
-            match Network.connect net c with
-            | Ok route -> Ok route.Network.id
-            | Error e -> Error e);
-        disconnect = (fun id -> ignore (Network.disconnect net id));
-      }
-    in
     let backend = Persist.Backend.Net net in
     let store =
       Option.map
-        (fun wal -> Persist.Store.start_backend ?telemetry ~wal backend)
+        (fun wal -> Persist.Store.start_backend ?telemetry ?policy ~wal backend)
         wal
     in
-    let sut = match store with None -> sut | Some st -> logged_sut st sut in
-    let persist =
-      Option.map (fun st -> persist_hook st backend ~snapshot_every) store
+    let schedule =
+      if with_faults then Some (fault_schedule ~seed ~steps net) else None
     in
-    let stats =
-      Wdm_traffic.Churn.run ?telemetry ?persist
-        (Random.State.make [| seed |])
-        ~spec:(Topology.spec topo) ~model
-        ~fanout:(Wdm_traffic.Fanout.Zipf { max = n * r; s = 1.1 })
-        ~steps ~teardown_bias:0.35 sut
-    in
-    Format.printf "%a\n" Wdm_traffic.Churn.pp_stats stats;
+    Format.printf "%s\n"
+      (churn ?telemetry
+         ?journal:(Option.map (fun st -> (st, snapshot_every)) store)
+         ?schedule ~seed ~steps f net);
     Format.printf "final utilization: %.1f%%\n" (100. *. Network.utilization net);
     Option.iter (fun st -> finish_store st backend) store;
     (match (telemetry, stats_json) with
@@ -361,39 +436,20 @@ let simulate_cmd =
     | _ -> ());
     dump_trace trace trace_file
   in
-  Cmd.v (Cmd.info "simulate" ~doc:"Churn a three-stage network and report blocking.")
-    Term.(const run $ n_local_arg $ r_arg $ k_arg $ m_arg $ construction_arg
-          $ model_arg $ steps_arg $ seed_arg $ strategy_arg $ trace_arg
-          $ stats_json_arg $ wal_arg $ snapshot_every_arg)
+  Cmd.v
+    (Cmd.info "simulate"
+       ~doc:"Churn a three-stage network and report blocking.  With \
+             $(b,--wal) every op is journalled with periodic snapshots, and \
+             the printed state digest is what $(b,wdmnet recover \
+             --expect-digest) verifies.")
+    Term.(const run $ fabric_term $ steps_arg 2000 $ seed_arg $ strategy_arg
+          $ with_faults_arg $ trace_arg $ stats_json_arg $ wal_arg
+          $ snapshot_every_arg $ fsync_arg)
 
 (* --- faults -------------------------------------------------------------- *)
 
 let faults_cmd =
   let open Wdm_faults in
-  let m_arg =
-    Arg.(value & opt (some int) None & info [ "m" ] ~docv:"M"
-           ~doc:"Base middle-module count; defaults to the theorem minimum.")
-  in
-  let r_arg =
-    Arg.(value & opt int 4 & info [ "r" ] ~docv:"R" ~doc:"Input/output modules.")
-  in
-  let n_local_arg =
-    Arg.(value & opt int 4 & info [ "n-local" ] ~docv:"NL"
-           ~doc:"Ports per input/output module.")
-  in
-  let construction_arg =
-    Arg.(
-      value
-      & opt (enum [ ("msw-dominant", Network.Msw_dominant); ("maw-dominant", Network.Maw_dominant) ])
-          Network.Msw_dominant
-      & info [ "construction" ] ~docv:"C" ~doc:"msw-dominant or maw-dominant.")
-  in
-  let steps_arg =
-    Arg.(value & opt int 5000 & info [ "steps" ] ~docv:"STEPS" ~doc:"Churn events per row.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let mtbf_arg =
     Arg.(value & opt float 1000. & info [ "mtbf" ] ~docv:"STEPS"
            ~doc:"Mean steps between failures, per component.")
@@ -414,26 +470,17 @@ let faults_cmd =
       & info [ "class" ] ~docv:"CLASS"
           ~doc:"Fault classes drawn by the campaign: middle, laser, converter, module or all.")
   in
-  let run n r k m construction model steps seed mtbf mttr slack_max klass csv
-      trace_file wal snapshot_every =
-    check_dims n k;
-    if r < 1 then begin prerr_endline "wdmnet: R must be >= 1"; exit 2 end;
-    check_snapshot_every snapshot_every;
+  let run f steps seed mtbf mttr slack_max klass csv trace_file wal
+      snapshot_every =
     if slack_max < 0 then begin prerr_endline "wdmnet: slack-max must be >= 0"; exit 2 end;
     if mtbf <= 0. || mttr <= 0. then begin
       prerr_endline "wdmnet: mtbf and mttr must be positive"; exit 2
     end;
     if steps < 0 then begin prerr_endline "wdmnet: steps must be >= 0"; exit 2 end;
-    let eval =
-      match construction with
-      | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-      | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-    in
-    let base_m = Option.value ~default:eval.Conditions.m_min m in
     Format.printf
       "Fault-injection campaign: n=%d r=%d k=%d, base m=%d (theorem m_min=%d), \
        %d steps, mtbf=%.0f mttr=%.0f, seed %d\n"
-      n r k base_m eval.Conditions.m_min steps mtbf mttr seed;
+      f.n f.r f.k f.m f.m_min steps mtbf mttr seed;
     let table =
       An.Table.make ~title:"Degradation under component faults"
         ~header:
@@ -441,65 +488,23 @@ let faults_cmd =
             "unserviceable"; "blocked"; "degraded-blocked"; "degraded-rate" ]
         ()
     in
+    let keep fault =
+      match (klass, fault) with
+      | `All, _ -> true
+      | `Middle, Fault.Middle _ -> true
+      | `Laser, (Fault.Stage1_laser _ | Fault.Stage2_laser _) -> true
+      | `Converter, Fault.Converter _ -> true
+      | `Module, (Fault.Input_module _ | Fault.Output_module _) -> true
+      | _ -> false
+    in
     (* One trace spans the whole campaign; each slack row gets a fresh
        sink so its snapshot covers exactly that row's run. *)
     let trace = Option.map (fun _ -> Tel.Trace.create ()) trace_file in
-    for f = 0 to slack_max do
-      let m = base_m + f in
-      let topo = Topology.make_exn ~n ~m ~r ~k in
+    for slack = 0 to slack_max do
       let sink = Tel.Sink.create ?trace () in
-      let net =
-        Network.create
-          ~config:{ Network.Config.default with telemetry = Some sink }
-          ~construction ~output_model:model topo
-      in
-      let universe =
-        let keep fault =
-          match (klass, fault) with
-          | `All, _ -> true
-          | `Middle, Fault.Middle _ -> true
-          | `Laser, (Fault.Stage1_laser _ | Fault.Stage2_laser _) -> true
-          | `Converter, Fault.Converter _ -> true
-          | `Module, (Fault.Input_module _ | Fault.Output_module _) -> true
-          | _ -> false
-        in
-        List.filter keep (Fault.universe ~m ~r ~k)
-      in
+      let net = fabric_network ~telemetry:sink ~slack f in
       let schedule =
-        Schedule.generate
-          ~rng:(Random.State.make [| seed; 0xfa; f |])
-          ~universe ~mtbf ~mttr ~steps
-        |> List.map (fun { Schedule.step; action } ->
-               match action with
-               | Schedule.Inject fault -> (step, `Inject fault)
-               | Schedule.Clear fault -> (step, `Clear fault))
-      in
-      let fsut =
-        {
-          Wdm_traffic.Churn.base =
-            {
-              Wdm_traffic.Churn.connect =
-                (fun c ->
-                  match Network.connect net c with
-                  | Ok route -> Ok route.Network.id
-                  | Error e -> Error e);
-              (* a teardown of an id the driver believes active must
-                 succeed; a stale id means leaked capacity and a
-                 corrupted degradation table, so fail the campaign *)
-              disconnect =
-                (fun id ->
-                  match Network.disconnect net id with
-                  | Ok _ -> ()
-                  | Error e -> failwith (Network.Error.disconnect_to_string e));
-            };
-          inject = Network.inject_fault net;
-          clear = Network.clear_fault net;
-          reconnect =
-            (fun c ->
-              match Network.connect_rearrangeable net c with
-              | Ok (route, _) -> Ok route.Network.id
-              | Error e -> Error e);
-        }
+        fault_schedule ~keep ~mtbf ~mttr ~row:[| slack |] ~seed ~steps net
       in
       (* each slack row is an independent run, so it records into its
          own WAL (and snapshot chain) under a .fN suffix *)
@@ -508,21 +513,14 @@ let faults_cmd =
         Option.map
           (fun wal ->
             Persist.Store.start_backend ~telemetry:sink
-              ~wal:(Printf.sprintf "%s.f%d" wal f)
+              ~wal:(Printf.sprintf "%s.f%d" wal slack)
               backend)
           wal
       in
-      let fsut = match store with None -> fsut | Some st -> logged_fsut st fsut in
-      let persist =
-        Option.map (fun st -> persist_hook st backend ~snapshot_every) store
-      in
-      let (_ : Wdm_traffic.Churn.fault_stats) =
-        Wdm_traffic.Churn.run_with_faults ~telemetry:sink ?persist
-          (Random.State.make [| seed |])
-          ~spec:(Topology.spec topo) ~model
-          ~fanout:(Wdm_traffic.Fanout.Zipf { max = n * r; s = 1.1 })
-          ~steps ~teardown_bias:0.35 ~schedule fsut
-      in
+      ignore
+        (churn ~telemetry:sink
+           ?journal:(Option.map (fun st -> (st, snapshot_every)) store)
+           ~schedule ~seed ~steps f net);
       Option.iter (fun st -> finish_store st backend) store;
       (* The row is read back from the metrics snapshot: the driver's
          tallies ARE the telemetry counters, so there is no second set
@@ -533,7 +531,7 @@ let faults_cmd =
       let blocked_degraded = c "churn_blocked_degraded_total" in
       An.Table.add_row table
         [
-          string_of_int f; string_of_int m;
+          string_of_int slack; string_of_int (f.m + slack);
           string_of_int (c "churn_faults_injected_total");
           string_of_int (c "wdmnet_fault_teardowns_total");
           string_of_int (c "churn_repaired_total");
@@ -554,37 +552,13 @@ let faults_cmd =
   Cmd.v
     (Cmd.info "faults"
        ~doc:"Fault-injection campaign: degraded-mode blocking vs middle-stage slack.")
-    Term.(const run $ n_local_arg $ r_arg $ k_arg $ m_arg $ construction_arg
-          $ model_arg $ steps_arg $ seed_arg $ mtbf_arg $ mttr_arg $ slack_arg
-          $ class_arg $ csv_arg $ trace_arg $ wal_arg $ snapshot_every_arg)
+    Term.(const run $ fabric_term $ steps_arg ~doc:"Churn events per row." 5000
+          $ seed_arg $ mtbf_arg $ mttr_arg $ slack_arg $ class_arg $ csv_arg
+          $ trace_arg $ wal_arg $ snapshot_every_arg)
 
 (* --- stats --------------------------------------------------------------- *)
 
 let stats_cmd =
-  let m_arg =
-    Arg.(value & opt (some int) None & info [ "m" ] ~docv:"M"
-           ~doc:"Middle modules; defaults to the theorem minimum.")
-  in
-  let r_arg =
-    Arg.(value & opt int 4 & info [ "r" ] ~docv:"R" ~doc:"Input/output modules.")
-  in
-  let n_local_arg =
-    Arg.(value & opt int 4 & info [ "n-local" ] ~docv:"NL"
-           ~doc:"Ports per input/output module.")
-  in
-  let construction_arg =
-    Arg.(
-      value
-      & opt (enum [ ("msw-dominant", Network.Msw_dominant); ("maw-dominant", Network.Maw_dominant) ])
-          Network.Msw_dominant
-      & info [ "construction" ] ~docv:"C" ~doc:"msw-dominant or maw-dominant.")
-  in
-  let steps_arg =
-    Arg.(value & opt int 2000 & info [ "steps" ] ~docv:"STEPS" ~doc:"Churn events.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the snapshot as JSON.")
   in
@@ -592,89 +566,18 @@ let stats_cmd =
     Arg.(value & flag & info [ "prometheus" ]
            ~doc:"Emit the snapshot in Prometheus text exposition format.")
   in
-  let faults_flag =
-    Arg.(value & flag & info [ "faults" ]
-           ~doc:"Drive the workload through the fault-injection campaign \
-                 (middle-module faults, mtbf 1000, mttr 400) instead of \
-                 plain churn, so the fault/repair counter families are \
-                 exercised too.")
-  in
-  let run n r k m construction model steps seed json prometheus with_faults
-      trace_file =
-    check_dims n k;
-    if r < 1 then begin prerr_endline "wdmnet: R must be >= 1"; exit 2 end;
+  let run f steps seed json prometheus with_faults trace_file =
     if json && prometheus then begin
       prerr_endline "wdmnet: --json and --prometheus are mutually exclusive";
       exit 2
     end;
-    let eval =
-      match construction with
-      | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-      | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-    in
-    let m = Option.value ~default:eval.Conditions.m_min m in
-    let topo = Topology.make_exn ~n ~m ~r ~k in
     let trace = Option.map (fun _ -> Tel.Trace.create ()) trace_file in
     let sink = Tel.Sink.create ?trace () in
-    let net =
-      Network.create
-        ~config:{ Network.Config.default with telemetry = Some sink }
-        ~construction ~output_model:model topo
+    let net = fabric_network ~telemetry:sink f in
+    let schedule =
+      if with_faults then Some (fault_schedule ~seed ~steps net) else None
     in
-    let sut =
-      {
-        Wdm_traffic.Churn.connect =
-          (fun c ->
-            match Network.connect net c with
-            | Ok route -> Ok route.Network.id
-            | Error e -> Error e);
-        disconnect = (fun id -> ignore (Network.disconnect net id));
-      }
-    in
-    let fanout = Wdm_traffic.Fanout.Zipf { max = n * r; s = 1.1 } in
-    (if with_faults then begin
-       let open Wdm_faults in
-       let schedule =
-         Schedule.generate
-           ~rng:(Random.State.make [| seed; 0xfa |])
-           ~universe:
-             (List.filter
-                (function Fault.Middle _ -> true | _ -> false)
-                (Fault.universe ~m ~r ~k))
-           ~mtbf:1000. ~mttr:400. ~steps
-         |> List.map (fun { Schedule.step; action } ->
-                match action with
-                | Schedule.Inject fault -> (step, `Inject fault)
-                | Schedule.Clear fault -> (step, `Clear fault))
-       in
-       let fsut =
-         {
-           Wdm_traffic.Churn.base = sut;
-           inject = Network.inject_fault net;
-           clear = Network.clear_fault net;
-           reconnect =
-             (fun c ->
-               match Network.connect_rearrangeable net c with
-               | Ok (route, _) -> Ok route.Network.id
-               | Error e -> Error e);
-         }
-       in
-       let (_ : Wdm_traffic.Churn.fault_stats) =
-         Wdm_traffic.Churn.run_with_faults ~telemetry:sink
-           (Random.State.make [| seed |])
-           ~spec:(Topology.spec topo) ~model ~fanout ~steps ~teardown_bias:0.35
-           ~schedule fsut
-       in
-       ()
-     end
-     else
-       let (_ : Wdm_traffic.Churn.stats) =
-         Wdm_traffic.Churn.run ~telemetry:sink
-           (Random.State.make [| seed |])
-           ~spec:(Topology.spec topo) ~model ~fanout ~steps ~teardown_bias:0.35
-           sut
-       in
-       ());
+    ignore (churn ~telemetry:sink ?schedule ~seed ~steps f net);
     let snap = Tel.Sink.snapshot sink in
     if json then print_string (Tel.Json.to_string (Tel.Metrics.to_json snap))
     else if prometheus then print_string (Tel.Metrics.to_prometheus snap)
@@ -685,155 +588,10 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:"Run a seeded workload and print the telemetry snapshot (text \
              table, --json, or --prometheus).")
-    Term.(const run $ n_local_arg $ r_arg $ k_arg $ m_arg $ construction_arg
-          $ model_arg $ steps_arg $ seed_arg $ json_arg $ prometheus_arg
-          $ faults_flag $ trace_arg)
+    Term.(const run $ fabric_term $ steps_arg 2000 $ seed_arg $ json_arg
+          $ prometheus_arg $ with_faults_arg $ trace_arg)
 
-(* --- record / recover ---------------------------------------------------- *)
-
-let record_cmd =
-  let open Wdm_faults in
-  let m_arg =
-    Arg.(value & opt (some int) None & info [ "m" ] ~docv:"M"
-           ~doc:"Middle modules; defaults to the theorem minimum.")
-  in
-  let r_arg =
-    Arg.(value & opt int 4 & info [ "r" ] ~docv:"R" ~doc:"Input/output modules.")
-  in
-  let n_local_arg =
-    Arg.(value & opt int 4 & info [ "n-local" ] ~docv:"NL"
-           ~doc:"Ports per input/output module.")
-  in
-  let construction_arg =
-    Arg.(
-      value
-      & opt (enum [ ("msw-dominant", Network.Msw_dominant); ("maw-dominant", Network.Maw_dominant) ])
-          Network.Msw_dominant
-      & info [ "construction" ] ~docv:"C" ~doc:"msw-dominant or maw-dominant.")
-  in
-  let steps_arg =
-    Arg.(value & opt int 2000 & info [ "steps" ] ~docv:"STEPS" ~doc:"Churn events.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
-  let wal_req_arg =
-    Arg.(required & opt (some string) None & info [ "wal" ] ~docv:"FILE"
-           ~doc:"Write-ahead log to record into (snapshots land beside it \
-                 as $(docv).snap.N).")
-  in
-  let fsync_every_arg =
-    Arg.(value & opt (some int) None & info [ "fsync-every" ] ~docv:"N"
-           ~doc:"fsync the WAL every N records (default: flush to the OS \
-                 after every record, no fsync).")
-  in
-  let faults_flag =
-    Arg.(value & flag & info [ "with-faults" ]
-           ~doc:"Drive the workload through the fault-injection campaign \
-                 (middle-module faults, mtbf 1000, mttr 400), so the WAL \
-                 carries inject/clear/repair records too.")
-  in
-  let run n r k m construction model steps seed wal snapshot_every fsync_every
-      with_faults =
-    check_dims n k;
-    if r < 1 then begin prerr_endline "wdmnet: R must be >= 1"; exit 2 end;
-    check_snapshot_every snapshot_every;
-    let policy =
-      match fsync_every with
-      | None -> None
-      | Some fe ->
-        if fe < 1 then begin
-          prerr_endline "wdmnet: fsync-every must be >= 1";
-          exit 2
-        end;
-        Some (Persist.Wal.Fsync_every fe)
-    in
-    let eval =
-      match construction with
-      | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-      | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-    in
-    let m = Option.value ~default:eval.Conditions.m_min m in
-    let topo = Topology.make_exn ~n ~m ~r ~k in
-    Format.printf "topology: %a, recording to %s\n" Topology.pp topo wal;
-    let net = Network.create ~construction ~output_model:model topo in
-    let backend = Persist.Backend.Net net in
-    let store = Persist.Store.start_backend ?policy ~wal backend in
-    let sut =
-      logged_sut store
-        {
-          Wdm_traffic.Churn.connect =
-            (fun c ->
-              match Network.connect net c with
-              | Ok route -> Ok route.Network.id
-              | Error e -> Error e);
-          disconnect = (fun id -> ignore (Network.disconnect net id));
-        }
-    in
-    let persist = Some (persist_hook store backend ~snapshot_every) in
-    let fanout = Wdm_traffic.Fanout.Zipf { max = n * r; s = 1.1 } in
-    let rng = Random.State.make [| seed |] in
-    (if with_faults then begin
-       let schedule =
-         Schedule.generate
-           ~rng:(Random.State.make [| seed; 0xfa |])
-           ~universe:
-             (List.filter
-                (function Fault.Middle _ -> true | _ -> false)
-                (Fault.universe ~m ~r ~k))
-           ~mtbf:1000. ~mttr:400. ~steps
-         |> List.map (fun { Schedule.step; action } ->
-                match action with
-                | Schedule.Inject fault -> (step, `Inject fault)
-                | Schedule.Clear fault -> (step, `Clear fault))
-       in
-       let fsut =
-         logged_fsut store
-           {
-             Wdm_traffic.Churn.base =
-               {
-                 Wdm_traffic.Churn.connect =
-                   (fun c ->
-                     match Network.connect net c with
-                     | Ok route -> Ok route.Network.id
-                     | Error e -> Error e);
-                 disconnect = (fun id -> ignore (Network.disconnect net id));
-               };
-             inject = Network.inject_fault net;
-             clear = Network.clear_fault net;
-             reconnect =
-               (fun c ->
-                 match Network.connect_rearrangeable net c with
-                 | Ok (route, _) -> Ok route.Network.id
-                 | Error e -> Error e);
-           }
-       in
-       let stats =
-         Wdm_traffic.Churn.run_with_faults ?persist rng
-           ~spec:(Topology.spec topo) ~model ~fanout ~steps ~teardown_bias:0.35
-           ~schedule fsut
-       in
-       Format.printf "%a\n" Wdm_traffic.Churn.pp_fault_stats stats
-     end
-     else
-       let stats =
-         Wdm_traffic.Churn.run ?persist rng ~spec:(Topology.spec topo) ~model
-           ~fanout ~steps ~teardown_bias:0.35 sut
-       in
-       Format.printf "%a\n" Wdm_traffic.Churn.pp_stats stats);
-    Printf.printf "wal: %d records, %d bytes\n"
-      (Persist.Store.wal_records store)
-      (Persist.Store.wal_offset store);
-    finish_store store backend
-  in
-  Cmd.v
-    (Cmd.info "record"
-       ~doc:"Churn a network while journalling every op to a WAL with \
-             periodic snapshots; the printed state digest is what \
-             $(b,wdmnet recover --expect-digest) verifies.")
-    Term.(const run $ n_local_arg $ r_arg $ k_arg $ m_arg $ construction_arg
-          $ model_arg $ steps_arg $ seed_arg $ wal_req_arg $ snapshot_every_arg
-          $ fsync_every_arg $ faults_flag)
+(* --- recover ------------------------------------------------------------- *)
 
 let recover_cmd =
   let wal_req_arg =
@@ -844,7 +602,7 @@ let recover_cmd =
   let expect_arg =
     Arg.(value & opt (some int) None & info [ "expect-digest" ] ~docv:"D"
            ~doc:"Fail unless the recovered state digest equals $(docv) \
-                 (the value $(b,wdmnet record) printed).")
+                 (the value $(b,wdmnet simulate --wal) printed).")
   in
   let keep_tear_arg =
     Arg.(value & flag & info [ "keep-tear" ]
@@ -925,33 +683,10 @@ let address_conv =
 let default_address = Server.Tcp ("127.0.0.1", 7878)
 
 let serve_cmd =
-  let n_local_arg =
-    Arg.(value & opt int 4 & info [ "n-local" ] ~docv:"NL"
-           ~doc:"Ports per input/output module.")
-  in
-  let r_arg =
-    Arg.(value & opt int 4 & info [ "r" ] ~docv:"R" ~doc:"Input/output modules.")
-  in
-  let m_arg =
-    Arg.(value & opt (some int) None & info [ "m" ] ~docv:"M"
-           ~doc:"Middle modules; defaults to the theorem minimum.")
-  in
-  let construction_arg =
-    Arg.(
-      value
-      & opt (enum [ ("msw-dominant", Network.Msw_dominant); ("maw-dominant", Network.Maw_dominant) ])
-          Network.Msw_dominant
-      & info [ "construction" ] ~docv:"C" ~doc:"msw-dominant or maw-dominant.")
-  in
   let listen_arg =
     Arg.(value & opt address_conv default_address & info [ "listen" ] ~docv:"ADDR"
            ~doc:"Address to serve on: unix:PATH, tcp:HOST:PORT or HOST:PORT \
                  (port 0 binds an ephemeral port).")
-  in
-  let fsync_every_arg =
-    Arg.(value & opt (some int) None & info [ "fsync-every" ] ~docv:"N"
-           ~doc:"fsync the WAL every N records (default: flush to the OS \
-                 after every record, no fsync).")
   in
   let follower_arg =
     Arg.(value & opt (some address_conv) None & info [ "follower" ] ~docv:"LEADER"
@@ -1007,84 +742,53 @@ let serve_cmd =
                  accepts any registered plug-in: adaptive, annealed, \
                  crosstalk[:BASE[:DB]].")
   in
-  let run n r k m construction model listen wal fsync_every follower http
-      ready_lag slow_ms slow_log max_conns mesh strategy trace_file =
-    (match mesh with None -> check_dims n k | Some _ -> ());
-    if r < 1 then begin prerr_endline "wdmnet: R must be >= 1"; exit 2 end;
+  let run f listen wal policy follower http ready_lag slow_ms slow_log
+      max_conns mesh strategy trace_file =
     (match max_conns with
     | Some mc when mc < 1 ->
       prerr_endline "wdmnet: max-conns must be >= 1";
       exit 2
     | _ -> ());
-    let policy =
-      match fsync_every with
-      | None -> None
-      | Some fe ->
-        if fe < 1 then begin
-          prerr_endline "wdmnet: fsync-every must be >= 1";
-          exit 2
-        end;
-        Some (Persist.Wal.Fsync_every fe)
-    in
     let trace = Option.map (fun _ -> Tel.Trace.create ()) trace_file in
     let sink = Tel.Sink.create ?trace () in
-    let backend, describe =
+    let fresh () =
       match mesh with
-      | Some topo_name ->
-        let strat =
+      | Some topo_name -> (
+        let strategy =
           Option.value ~default:Mesh.Config.default.Mesh.Config.strategy
             strategy
         in
-        let config =
-          { Mesh.Config.default with Mesh.Config.k; strategy = strat }
-        in
-        (match Mesh.create ~telemetry:sink ~config topo_name with
+        let config = { Mesh.Config.default with Mesh.Config.k = f.k; strategy } in
+        match Mesh.create ~telemetry:sink ~config topo_name with
         | Error e -> prerr_endline ("wdmnet: " ^ e); exit 2
-        | Ok mesh ->
-          let g = Mesh.graph mesh in
-          ( Persist.Backend.Mesh mesh,
-            fun () ->
-              Format.printf
-                "mesh %s: %d nodes, %d links, %d wavelengths, %s@." topo_name
-                (Wdm_mesh.Graph.n g) (Wdm_mesh.Graph.m g) k
-                strat ))
+        | Ok mesh -> Persist.Backend.Mesh mesh)
       | None ->
-        let eval =
-          match construction with
-          | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-          | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-        in
-        let m = Option.value ~default:eval.Conditions.m_min m in
-        let topo = Topology.make_exn ~n ~m ~r ~k in
-        let strat =
-          match strategy with
-          | None -> Network.Config.default.Network.Config.strategy
-          | Some s -> check_strategy Network.Strategy.find s
-        in
-        let net =
-          Network.create
-            ~config:
-              {
-                Network.Config.default with
-                telemetry = Some sink;
-                strategy = strat;
-              }
-            ~construction ~output_model:model topo
-        in
-        ( Persist.Backend.Net net,
-          fun () ->
-            Format.printf "topology: %a, model %a@." Topology.pp topo Model.pp
-              model )
+        let strategy = Option.map (check_strategy Network.Strategy.find) strategy in
+        Persist.Backend.Net (fabric_network ~telemetry:sink ?strategy f)
     in
-    (* A follower manages its own store (truncated on snapshot install,
-       resumed from the mark on restart); only a leader takes one here. *)
-    let store =
-      match follower with
-      | Some _ -> None
-      | None ->
-        Option.map
-          (fun wal -> Persist.Store.start_backend ?policy ~wal backend)
-          wal
+    (* A leader resumes a journal it finds on disk instead of truncating
+       it: the recovered state wins over the network flags, and a
+       journal that does not recover stops the start with the files
+       untouched.  A follower manages its own store (truncated on
+       snapshot install, resumed from the mark on restart). *)
+    let backend, store =
+      match (follower, wal) with
+      | Some _, _ | None, None -> (fresh (), None)
+      | None, Some wal when Sys.file_exists wal -> (
+        match Persist.Store.resume_backend ~telemetry:sink ?policy ~wal () with
+        | Error e ->
+          Format.eprintf "wdmnet: cannot resume %s: %a@." wal
+            Persist.Store.pp_recovery_error e;
+          exit 1
+        | Ok (store, r) ->
+          Printf.printf
+            "resumed %s from snapshot %d (WAL offset %d), replayed %d ops\n" wal
+            r.Persist.Store.b_snapshot_seq r.Persist.Store.b_snapshot_offset
+            r.Persist.Store.b_replayed;
+          (r.Persist.Store.backend, Some store))
+      | None, Some wal ->
+        let backend = fresh () in
+        (backend, Some (Persist.Store.start_backend ?policy ~wal backend))
     in
     let srv =
       Server.start_backend ~telemetry:sink ?store
@@ -1092,7 +796,15 @@ let serve_cmd =
           (Option.map (fun leader -> { Server.leader; wal }) follower)
         ?http ~ready_lag ?slow_ms ?slow_log ?max_conns ~backend listen
     in
-    describe ();
+    (match backend with
+    | Persist.Backend.Net net ->
+      Format.printf "topology: %a, model %a@." Topology.pp
+        (Network.topology net) Model.pp (Network.output_model net)
+    | Persist.Backend.Mesh mesh ->
+      let g = Mesh.graph mesh and config = Mesh.config mesh in
+      Format.printf "mesh %s: %d nodes, %d links, %d wavelengths, %s@."
+        (Mesh.topology_name mesh) (Wdm_mesh.Graph.n g) (Wdm_mesh.Graph.m g)
+        config.Mesh.Config.k config.Mesh.Config.strategy);
     Format.printf "serving on %a@." Server.pp_address (Server.address srv);
     (match Server.http_address srv with
     | Some haddr -> Format.printf "observability on %a@." Server.pp_address haddr
@@ -1139,14 +851,14 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Serve a live network over a socket: requests are WAL-format \
              ops, each run to completion by a single event loop; with \
-             $(b,--wal) the session crash-recovers like a recorded run.  With \
+             $(b,--wal) the session crash-recovers like a recorded run, and \
+             rerunning the command on that journal resumes it.  With \
              $(b,--follower) the node replicates a leader instead (SIGUSR1 \
              promotes it).  $(b,--http) adds a live observability plane; \
              $(b,--trace) writes the request-stage spans as a Chrome trace \
              at shutdown.  SIGINT or SIGTERM shuts down gracefully and \
              prints the state digest.")
-    Term.(const run $ n_local_arg $ r_arg $ k_arg $ m_arg $ construction_arg
-          $ model_arg $ listen_arg $ wal_arg $ fsync_every_arg
+    Term.(const run $ fabric_term $ listen_arg $ wal_arg $ fsync_arg
           $ follower_arg $ http_arg
           $ ready_lag_arg $ slow_ms_arg $ slow_log_arg $ max_conns_arg
           $ mesh_arg $ strategy_arg $ trace_arg)
@@ -1168,17 +880,6 @@ let client_cmd =
   let ops_arg =
     Arg.(value & opt int 1000 & info [ "ops" ] ~docv:"OPS"
            ~doc:"Churn events to issue with --churn.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
-  let n_local_arg =
-    Arg.(value & opt int 4 & info [ "n-local" ] ~docv:"NL"
-           ~doc:"Ports per input/output module of the served topology.")
-  in
-  let r_arg =
-    Arg.(value & opt int 4 & info [ "r" ] ~docv:"R"
-           ~doc:"Input/output modules of the served topology.")
   in
   let digest_flag =
     Arg.(value & flag & info [ "digest" ]
@@ -1253,7 +954,7 @@ let client_cmd =
       in
       match
         let stats =
-          Wdm_traffic.Churn.run
+          Churn.run
             (Random.State.make [| seed |])
             ~spec ~model
             ~fanout:(Wdm_traffic.Fanout.Zipf { max = n * r; s = 1.1 })
@@ -1266,7 +967,7 @@ let client_cmd =
         prerr_endline ("wdmnet: " ^ e);
         exit 1
       | stats ->
-        Format.printf "%a@." Wdm_traffic.Churn.pp_stats stats;
+        Format.printf "%a@." Churn.pp_stats stats;
         Printf.printf "route checksum: %d\n" !sum
     end;
     if stats then begin
@@ -1742,36 +1443,7 @@ let mesh_cmd =
       (match json with
       | None -> ()
       | Some file ->
-        let module J = Tel.Json in
-        let doc =
-          J.Obj
-            [
-              ("seed", J.Int spec.Campaign.seed);
-              ("wavelengths", J.Int spec.Campaign.k);
-              ("arrivals_per_cell", J.Int spec.Campaign.arrivals);
-              ( "cells",
-                J.List
-                  (List.map
-                     (fun (c : Campaign.cell) ->
-                       let p = c.Campaign.point in
-                       J.Obj
-                         [
-                           ("topo", J.String c.Campaign.topo);
-                           ( "strategy",
-                             J.String c.Campaign.strategy );
-                           ( "erlangs",
-                             J.Float p.Wdm_traffic.Erlang.offered_erlangs );
-                           ("arrivals", J.Int p.Wdm_traffic.Erlang.arrivals);
-                           ("accepted", J.Int p.Wdm_traffic.Erlang.accepted);
-                           ("blocked", J.Int p.Wdm_traffic.Erlang.blocked);
-                           ("blocking", J.Float p.Wdm_traffic.Erlang.blocking);
-                           ( "mean_active",
-                             J.Float p.Wdm_traffic.Erlang.mean_active );
-                         ])
-                     cells) );
-            ]
-        in
-        write_file file (J.to_string doc ^ "\n");
+        write_file file (Tel.Json.to_string (Campaign.to_json spec cells) ^ "\n");
         Printf.printf "wrote %s (%d cells)\n" file (List.length cells))
   in
   Cmd.v
@@ -1830,34 +1502,7 @@ let compare_cmd =
       (match json with
       | None -> ()
       | Some file ->
-        let module J = Tel.Json in
-        let doc =
-          J.Obj
-            [
-              ("seed", J.Int spec.Compare.seed);
-              ( "strategies",
-                J.List
-                  (List.map (fun s -> J.String s) spec.Compare.strategies) );
-              ( "cells",
-                J.List
-                  (List.map
-                     (fun (c : Compare.cell) ->
-                       J.Obj
-                         [
-                           ("engine", J.String c.Compare.engine);
-                           ("workload", J.String c.Compare.workload);
-                           ("strategy", J.String c.Compare.strategy);
-                           ("attempts", J.Int c.Compare.attempts);
-                           ("accepted", J.Int c.Compare.accepted);
-                           ("blocked", J.Int c.Compare.blocked);
-                           ("blocking", J.Float c.Compare.blocking);
-                           ( "mean_connect_us",
-                             J.Float c.Compare.mean_connect_us );
-                         ])
-                     cells) );
-            ]
-        in
-        write_file file (J.to_string doc ^ "\n");
+        write_file file (Tel.Json.to_string (Compare.to_json spec cells) ^ "\n");
         Printf.printf "wrote %s (%d cells)\n" file (List.length cells))
   in
   Cmd.v
@@ -1877,9 +1522,6 @@ let deep_cmd =
   let stages_arg =
     Arg.(value & opt int 5 & info [ "stages" ] ~docv:"S" ~doc:"Odd stage count.")
   in
-  let steps_arg =
-    Arg.(value & opt int 2000 & info [ "steps" ] ~docv:"STEPS" ~doc:"Churn events (0: design only).")
-  in
   let run stages n k steps =
     check_dims n k;
     match Recursive.design ~stages ~big_n:n ~k ~output_model:Model.MSW with
@@ -1896,7 +1538,7 @@ let deep_cmd =
         let t = Rnetwork.create ~construction:Network.Msw_dominant d in
         let sut =
           {
-            Wdm_traffic.Churn.connect =
+            Churn.connect =
               (fun c ->
                 match Rnetwork.connect t c with
                 | Ok route -> Ok route.Rnetwork.base.Network.id
@@ -1905,18 +1547,19 @@ let deep_cmd =
           }
         in
         let stats =
-          Wdm_traffic.Churn.run (Random.State.make [| 1 |])
+          Churn.run (Random.State.make [| 1 |])
             ~spec:(Topology.spec (Rnetwork.topology t))
             ~model:Model.MSW
             ~fanout:(Wdm_traffic.Fanout.Zipf { max = n; s = 1.1 })
             ~steps ~teardown_bias:0.35 sut
         in
-        Format.printf "churn: %a\n" Wdm_traffic.Churn.pp_stats stats
+        Format.printf "churn: %a\n" Churn.pp_stats stats
       end
   in
   Cmd.v
     (Cmd.info "deep" ~doc:"Design and churn a recursive (5/7-stage) network.")
-    Term.(const run $ stages_arg $ n_arg $ k_arg $ steps_arg)
+    Term.(const run $ stages_arg $ n_arg $ k_arg
+          $ steps_arg ~doc:"Churn events (0: design only)." 2000)
 
 let () =
   (* every subcommand that touches a socket must see EPIPE, not die *)
@@ -1928,7 +1571,7 @@ let () =
        (Cmd.group (Cmd.info "wdmnet" ~version:"1.0.0" ~doc)
           [
             capacity_cmd; cost_cmd; design_cmd; tables_cmd; sweep_cmd;
-            fig10_cmd; simulate_cmd; faults_cmd; stats_cmd; record_cmd;
+            fig10_cmd; simulate_cmd; faults_cmd; stats_cmd;
             recover_cmd; serve_cmd; client_cmd; promote_cmd; top_cmd;
             adversary_cmd;
             figures_cmd;

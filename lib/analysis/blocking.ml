@@ -10,6 +10,11 @@ type measurement = {
   probability : float;
 }
 
+let theorem ~construction ~n ~r ~k =
+  match construction with
+  | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
+  | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
+
 let churn_sut t =
   {
     Churn.connect =
@@ -17,7 +22,23 @@ let churn_sut t =
         match Network.connect t c with
         | Ok route -> Ok route.Network.id
         | Error e -> Error e);
-    disconnect = (fun id -> ignore (Network.disconnect t id));
+    disconnect =
+      (fun id ->
+        match Network.disconnect t id with
+        | Ok _ -> ()
+        | Error e -> failwith (Network.Error.disconnect_to_string e));
+  }
+
+let faulty_sut t =
+  {
+    Churn.base = churn_sut t;
+    inject = Network.inject_fault t;
+    clear = Network.clear_fault t;
+    reconnect =
+      (fun c ->
+        match Network.connect_rearrangeable t c with
+        | Ok (route, _) -> Ok route.Network.id
+        | Error e -> Error e);
   }
 
 let run_once ~seed ~steps ~fanout ~teardown_bias ~construction ~output_model topo =
@@ -61,12 +82,7 @@ let blocking_vs_m ?(seeds = [ 1; 2; 3; 4; 5 ]) ?(steps = 400)
     ms
 
 let blocking_table ~construction ~output_model ~n ~r ~k =
-  let eval =
-    match construction with
-    | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-    | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-  in
-  let m_min = eval.Conditions.m_min in
+  let m_min = (theorem ~construction ~n ~r ~k).Conditions.m_min in
   let ms =
     List.sort_uniq Int.compare
       (List.filter (fun m -> m >= n) [ n; (n + m_min) / 2; m_min - 1; m_min; m_min + 1 ])
@@ -212,14 +228,8 @@ let erlang_curve ?(seed = 33) ?(horizon = 300.) ~construction ~output_model ~n
 
 let frontier ?(seeds = List.init 8 (fun i -> 100 + i)) ?(steps = 600)
     ~construction ~output_model ~n ~r ~k () =
-  let eval =
-    match construction with
-    | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-    | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-  in
-  let ms =
-    List.init (Stdlib.max 0 (eval.Conditions.m_min - n)) (fun i -> n + i)
-  in
+  let m_min = (theorem ~construction ~n ~r ~k).Conditions.m_min in
+  let ms = List.init (Stdlib.max 0 (m_min - n)) (fun i -> n + i) in
   let blocked_at m =
     List.exists
       (fun seed ->

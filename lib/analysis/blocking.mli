@@ -17,6 +17,28 @@ type measurement = {
   probability : float;
 }
 
+val theorem :
+  construction:Network.construction -> n:int -> r:int -> k:int ->
+  Conditions.evaluation
+(** The sufficient condition of the construction: Theorem 1 for
+    [Msw_dominant], Theorem 2 for [Maw_dominant].  Its [m_min] is the
+    middle-module count every fabric defaults to. *)
+
+(** {1 Churn adapters} *)
+
+val churn_sut : Network.t -> (int, Network.error) Wdm_traffic.Churn.sut
+(** {!Network.connect} and {!Network.disconnect} as a switch under
+    test.  A refused teardown raises [Failure]: the driver only tears
+    down ids it believes active, so a stale id means leaked capacity
+    and a corrupted tally. *)
+
+val faulty_sut :
+  Network.t ->
+  (int, Network.error, Wdm_faults.Fault.t) Wdm_traffic.Churn.faulty_sut
+(** {!churn_sut} plus {!Network.inject_fault} and
+    {!Network.clear_fault}, with victims re-homed through
+    {!Network.connect_rearrangeable}. *)
+
 val blocking_vs_m :
   ?seeds:int list ->
   ?steps:int ->

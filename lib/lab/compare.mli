@@ -82,3 +82,8 @@ val run : spec -> (cell list, string) result
 
 val pp_table : Format.formatter -> cell list -> unit
 (** Aligned blocking/latency table grouped by workload. *)
+
+val to_json : spec -> cell list -> Wdm_telemetry.Json.t
+(** The [strategy_compare] document (EXPERIMENTS.md): the spec's seed
+    and strategies, then one object per cell.  Both [wdmnet compare
+    --json] and the bench's [BENCH_results.json] fragment write it. *)

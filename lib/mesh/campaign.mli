@@ -41,3 +41,9 @@ val run :
 
 val pp_table : Format.formatter -> cell list -> unit
 (** Aligned blocking-probability table grouped by topology/strategy. *)
+
+val to_json : spec -> cell list -> Wdm_telemetry.Json.t
+(** The [mesh_blocking] document (EXPERIMENTS.md): the spec's seed,
+    wavelengths and arrivals per cell, then one object per cell.  Both
+    [wdmnet mesh --json] and the bench's [BENCH_results.json] fragment
+    write it. *)
